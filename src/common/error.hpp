@@ -17,13 +17,21 @@ public:
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// Unconditionally raise an eth::Error (for unreachable branches and
+/// unsupported enum values).
+[[noreturn]] void fail(const std::string& message);
+
 /// Throw eth::Error with `message` when `condition` is false.
 /// Usage: require(n >= 0, "particle count must be non-negative");
 void require(bool condition, const std::string& message);
 
-/// Unconditionally raise an eth::Error (for unreachable branches and
-/// unsupported enum values).
-[[noreturn]] void fail(const std::string& message);
+/// Literal-message overload: tests first and builds the std::string
+/// only on failure, because passing checks sit inside per-ray,
+/// per-sample and per-token loops where a heap allocation per call
+/// would dominate the work being checked.
+inline void require(bool condition, const char* message) {
+  if (!condition) fail(message);
+}
 
 /// Failure taxonomy for the in-situ transport path (DESIGN.md §8).
 /// Every transport-layer failure is classified so callers can decide
@@ -54,5 +62,11 @@ private:
 /// Throw TransportError(code, message) when `condition` is false.
 void require_transport(bool condition, TransportErrorCode code,
                        const std::string& message);
+
+/// Literal-message overload, allocation-free on success (see require).
+inline void require_transport(bool condition, TransportErrorCode code,
+                              const char* message) {
+  if (!condition) throw TransportError(code, message);
+}
 
 } // namespace eth

@@ -100,9 +100,11 @@ void decompress(std::span<const std::uint8_t> src,
   const std::size_t in_size = src.size();
   const std::size_t out_size = dst.size();
 
+  // Called once or more per sequence: test before building the message.
   const auto need = [&](std::size_t k, const char* what) {
-    require_transport(in_size - ip >= k, TransportErrorCode::kTruncated,
-                      std::string("lz: compressed stream ends inside ") + what);
+    if (in_size - ip < k)
+      throw TransportError(TransportErrorCode::kTruncated,
+                           std::string("lz: compressed stream ends inside ") + what);
   };
   const auto read_run = [&](std::size_t base) {
     std::size_t len = base;

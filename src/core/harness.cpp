@@ -107,32 +107,47 @@ std::string cas_dump_case(std::uint64_t app_fp, int M, int parts) {
                        app_fp, strprintf("dump M=%d P=%d", M, parts))));
 }
 
+/// Cache key and factory of one rank's share: a load of its dump
+/// (`from_disk`) or an in-memory synthesis. The factory's measured cost
+/// and data-plane bytes are recorded with the artifact; the caller
+/// replays them on hit and miss alike so phase times and byte totals
+/// are identical cache-on vs cache-off. Demand loads and the read-ahead
+/// share this one factory. It holds `spec` by reference: run() joins
+/// every read-ahead before returning.
+struct ShareArtifact {
+  ArtifactKey key;
+  ArtifactCache::Factory factory;
+};
+
+ShareArtifact share_artifact(const ExperimentSpec& spec, std::uint64_t app_fp,
+                             const std::string& case_name, int share, int parts,
+                             Index t, int r, bool from_disk) {
+  const std::uint64_t file_fp = share_fingerprint(app_fp, share, parts, t);
+  return {{file_fp, from_disk ? "proxy.load" : "produce_share"},
+          [&spec, case_name, share, parts, t, r, from_disk, file_fp]() -> CacheArtifact {
+            // KernelTimer: xRAGE synthesis fans its rows out over the
+            // pool, and the rank is charged for worker-executed rows.
+            KernelTimer timer;
+            DataPlaneCapture capture;
+            const std::shared_ptr<const DataSet> ds =
+                from_disk ? sim::SimulationProxy(spec.proxy_dir, case_name).load(t, r)
+                          : Harness::produce_share(spec, share, parts, t);
+            cluster::PerfCounters recorded;
+            recorded.phases.add("generate", timer.elapsed());
+            recorded.bytes_copied = capture.taken().bytes_copied;
+            recorded.bytes_borrowed = capture.taken().bytes_borrowed;
+            return CacheArtifact{ds, static_cast<std::size_t>(ds->byte_size()),
+                                 std::move(recorded), file_fp};
+          }};
+}
+
 /// Load (or synthesize) one rank's share through the artifact cache.
-/// The factory's measured cost and data-plane bytes are recorded with
-/// the artifact; the caller replays them on hit and miss alike so
-/// phase times and byte totals are identical cache-on vs cache-off.
 CacheLookup cached_share(ArtifactCache& cache, const ExperimentSpec& spec,
                          std::uint64_t app_fp, const std::string& case_name,
                          int share, int parts, Index t, int r, bool from_disk) {
-  const std::uint64_t file_fp = share_fingerprint(app_fp, share, parts, t);
-  const char* op = from_disk ? "proxy.load" : "produce_share";
-  return cache.get_or_compute({file_fp, op}, [&]() -> CacheArtifact {
-    ThreadCpuTimer timer;
-    DataPlaneCapture capture;
-    std::shared_ptr<const DataSet> ds;
-    if (from_disk) {
-      const sim::SimulationProxy proxy(spec.proxy_dir, case_name);
-      ds = proxy.load(t, r);
-    } else {
-      ds = Harness::produce_share(spec, share, parts, t);
-    }
-    cluster::PerfCounters recorded;
-    recorded.phases.add("generate", timer.elapsed());
-    recorded.bytes_copied = capture.taken().bytes_copied;
-    recorded.bytes_borrowed = capture.taken().bytes_borrowed;
-    return CacheArtifact{ds, static_cast<std::size_t>(ds->byte_size()),
-                         std::move(recorded), file_fp};
-  });
+  const ShareArtifact artifact =
+      share_artifact(spec, app_fp, case_name, share, parts, t, r, from_disk);
+  return cache.get_or_compute(artifact.key, artifact.factory);
 }
 
 } // namespace
@@ -391,27 +406,16 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
         slot.replay_copied += lookup.recorded.bytes_copied;
         slot.replay_borrowed += lookup.recorded.bytes_borrowed;
         // Read-ahead: warm the NEXT timestep's share on the pool while
-        // this one renders. Value captures only — the task may outlive
-        // this iteration (run() joins the pool before returning).
+        // this one renders. The task may outlive this iteration but not
+        // run(), which joins the group before returning.
         if (spec.use_disk_proxy && t + 1 < spec.timesteps) {
-          const std::uint64_t next_fp =
-              share_fingerprint(app_fp, share_index(r, M, P_sim), P_sim, t + 1);
-          prefetch_group.launch(global_pool(), [&cache, dir = spec.proxy_dir,
-                                               case_name = sim_case, next_fp, t,
-                                               r]() {
+          prefetch_group.launch(global_pool(), [&cache,
+                                               next = share_artifact(
+                                                   spec, app_fp, sim_case,
+                                                   share_index(r, M, P_sim), P_sim,
+                                                   t + 1, r, true)]() {
             try {
-              cache.prefetch({next_fp, "proxy.load"}, [&]() -> CacheArtifact {
-                ThreadCpuTimer timer;
-                DataPlaneCapture capture;
-                const sim::SimulationProxy proxy(dir, case_name);
-                std::shared_ptr<const DataSet> ds = proxy.load(t + 1, r);
-                cluster::PerfCounters recorded;
-                recorded.phases.add("generate", timer.elapsed());
-                recorded.bytes_copied = capture.taken().bytes_copied;
-                recorded.bytes_borrowed = capture.taken().bytes_borrowed;
-                return CacheArtifact{ds, static_cast<std::size_t>(ds->byte_size()),
-                                     std::move(recorded), next_fp};
-              });
+              cache.prefetch(next.key, next.factory);
             } catch (...) {
               // Pool tasks must not throw; a failed read-ahead only
               // means the demand path pays the load itself.
@@ -420,7 +424,7 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
         }
       } else {
         const trace::Span span("sim.load");
-        ThreadCpuTimer gen_timer;
+        KernelTimer gen_timer;
         if (spec.use_disk_proxy) {
           const sim::SimulationProxy proxy(spec.proxy_dir, sim_case);
           slot.sim_data = proxy.load(t, r);

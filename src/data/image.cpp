@@ -56,8 +56,8 @@ void ImageBuffer::write_ppm(const std::string& path) const {
             static_cast<unsigned char>(srgb * Real(255) + Real(0.5));
       }
     }
-    require(std::fwrite(row.data(), 1, row.size(), f.get()) == row.size(),
-            "write_ppm: short write to '" + path + "'");
+    if (std::fwrite(row.data(), 1, row.size(), f.get()) != row.size())
+      fail("write_ppm: short write to '" + path + "'");
   }
 }
 

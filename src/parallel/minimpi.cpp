@@ -82,7 +82,7 @@ public:
   int size() const { return size_; }
 
   void check_rank(int r, const char* what) const {
-    require(r >= 0 && r < size_, std::string("minimpi: ") + what + " rank out of range");
+    if (r < 0 || r >= size_) fail(std::string("minimpi: ") + what + " rank out of range");
   }
 
   void abort() {

@@ -2,14 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace eth::sim {
 
 namespace {
+
+/// (k, j) rows per pool chunk in generate_xrage_block.
+constexpr Index kRowGrain = 4;
 
 /// Deterministic lattice hash -> [0, 1).
 Real lattice_noise(std::uint64_t seed, Index i, Index j, Index k) {
@@ -153,14 +158,14 @@ std::unique_ptr<StructuredGrid> generate_xrage_block(const XrageParams& p, Vec3i
   const Vec3f origin{spacing_val * Real(lo.x), spacing_val * Real(lo.y),
                      spacing_val * Real(lo.z)};
   auto grid = std::make_unique<StructuredGrid>(dims, origin, spacing);
-  // Add all fields before taking references: each add may reallocate
-  // the collection's storage, invalidating references taken earlier.
+  // Add all fields before looking any up: each add may reallocate the
+  // collection's storage, invalidating Field references taken earlier.
   grid->add_scalar_field("temperature");
   grid->add_scalar_field("density");
   grid->add_scalar_field("pressure");
-  Field& temperature = grid->point_fields().get("temperature");
-  Field& density = grid->point_fields().get("density");
-  Field& pressure = grid->point_fields().get("pressure");
+  const std::span<Real> temperature = grid->point_fields().get("temperature").values();
+  const std::span<Real> density = grid->point_fields().get("density").values();
+  const std::span<Real> pressure = grid->point_fields().get("pressure").values();
 
   // Impact geometry: strike point on the "ground" (y = 0 plane) at the
   // domain's x/z center. The shock radius grows with sqrt(t) (Sedov-
@@ -174,8 +179,13 @@ std::unique_ptr<StructuredGrid> generate_xrage_block(const XrageParams& p, Vec3i
   const Real plume_height = p.domain_size * Real(0.06) * t;
   const Real noise_scale = Real(6) / p.domain_size;
 
-  for (Index k = 0; k < dims.z; ++k)
-    for (Index j = 0; j < dims.y; ++j)
+  // Rows of (k, j) run on the pool. Every point is a pure function of
+  // its global lattice index and writes only its own slot, so the grid
+  // is bit-identical at any pool size (and inline inside a pool task).
+  parallel_for(0, dims.z * dims.y, kRowGrain, [&](Index row_begin, Index row_end) {
+    for (Index row = row_begin; row < row_end; ++row) {
+      const Index j = row % dims.y;
+      const Index k = row / dims.y;
       for (Index i = 0; i < dims.x; ++i) {
         // Evaluate at the GLOBAL lattice position (spacing * global
         // index) so a block is bit-identical to the same region of the
@@ -212,13 +222,15 @@ std::unique_ptr<StructuredGrid> generate_xrage_block(const XrageParams& p, Vec3i
         temp *= Real(0.9) + Real(0.2) * rough;
         temp = clamp(temp, Real(0), Real(1));
 
-        const Index idx = grid->point_index(i, j, k);
-        temperature.set(idx, temp);
+        const auto idx = static_cast<std::size_t>(i + dims.x * row);
+        temperature[idx] = temp;
         // Crude equation-of-state companions (exercised by multi-field
         // pipelines and tests, not by the paper's figures).
-        density.set(idx, clamp(Real(1.2) - temp + Real(0.3) * shell, Real(0.05), Real(2)));
-        pressure.set(idx, clamp(temp * (Real(0.8) + Real(0.4) * core), Real(0), Real(2)));
+        density[idx] = clamp(Real(1.2) - temp + Real(0.3) * shell, Real(0.05), Real(2));
+        pressure[idx] = clamp(temp * (Real(0.8) + Real(0.4) * core), Real(0), Real(2));
       }
+    }
+  });
 
   return grid;
 }

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "data/point_set.hpp"
 #include "data/structured_grid.hpp"
@@ -14,7 +15,11 @@ namespace {
 class VtkIoTest : public ::testing::Test {
 protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "eth_vtk_io_test";
+    // One directory per test: ctest -j runs the tests as concurrent
+    // processes, and a shared one is removed under a sibling's feet.
+    dir_ = std::filesystem::temp_directory_path() /
+           (std::string("eth_vtk_io_test_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 
 #include "data/point_set.hpp"
 #include "sim/hacc_generator.hpp"
@@ -13,7 +14,12 @@ namespace {
 class DumpTest : public ::testing::Test {
 protected:
   void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() / "eth_dump_test").string();
+    // One directory per test: ctest -j runs the tests as concurrent
+    // processes, and a shared one is removed under a sibling's feet.
+    dir_ = (std::filesystem::temp_directory_path() /
+            (std::string("eth_dump_test_") +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name()))
+               .string();
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "parallel/thread_pool.hpp"
+
 namespace eth::sim {
 namespace {
 
@@ -83,6 +87,43 @@ TEST(XrageGenerator, BlockEqualsFullGridRegion) {
       for (Index i = 0; i < 8; ++i)
         EXPECT_EQ(bf.get(block->point_index(i, j, k)),
                   ff.get(full->point_index(i + 4, j + 2, k + 3)));
+}
+
+// Rows are evaluated with parallel_for: the block must not depend on
+// the pool size, nor on running inline inside a pool task.
+TEST(XrageGenerator, BlockIsIdenticalAtAnyPoolSize) {
+  XrageParams p;
+  p.dims = {40, 36, 32};
+  p.timestep = 3;
+  const auto [lo, hi] = grid_block_range(p.dims, 5, 8);
+  const auto generate_on = [&](ThreadPool& pool, bool from_pool_task) {
+    set_global_pool(&pool);
+    std::unique_ptr<StructuredGrid> grid;
+    if (from_pool_task) {
+      pool.submit([&] { grid = generate_xrage_block(p, lo, hi); });
+      pool.wait_idle();
+    } else {
+      grid = generate_xrage_block(p, lo, hi);
+    }
+    set_global_pool(nullptr);
+    return grid;
+  };
+  ThreadPool one(1);
+  ThreadPool four(4);
+  const auto serial = generate_on(one, false);
+  const auto parallel = generate_on(four, false);
+  const auto nested = generate_on(four, true);
+
+  for (const StructuredGrid* grid : {parallel.get(), nested.get()}) {
+    ASSERT_NE(grid, nullptr);
+    ASSERT_EQ(grid->dims(), serial->dims());
+    for (const char* name : {"temperature", "density", "pressure"}) {
+      const auto a = serial->point_fields().get(name).values();
+      const auto b = grid->point_fields().get(name).values();
+      ASSERT_EQ(a.size(), b.size());
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0) << name;
+    }
+  }
 }
 
 TEST(XrageGenerator, RankSlabsShareBoundaryPlanes) {

@@ -154,7 +154,9 @@ rm -f "${async_json}"
 # AddressSanitizer over the data/in-situ suites: the zero-copy data
 # plane aliases receive buffers and peers' live arrays (common/buffer),
 # so the lifetime contract — keepalives pin every borrowed span — is
-# exactly what ASan's use-after-free detection verifies.
+# exactly what ASan's use-after-free detection verifies. The Error suite
+# replaces the global operator new, and the xRAGE generator writes its
+# fields from pool workers; both run here too.
 asan_variant() {
   local dir="build-asan"
   echo "==== configure ${dir} (address sanitizer) ===="
@@ -164,7 +166,7 @@ asan_variant() {
   cmake --build "${dir}" -j "${jobs}"
   echo "==== test ${dir} (data + insitu + buffer suites) ===="
   ctest --test-dir "${dir}" --output-on-failure \
-    -R 'Buffer|CowArray|DataPlane|WireMessage|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset'
+    -R 'Buffer|CowArray|DataPlane|WireMessage|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset|Error|XrageGenerator'
 }
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" asan_variant
 
