@@ -662,33 +662,35 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
         }
       }
 
+      // Sparse exchange (DESIGN.md §4.3): every rank but 0 sends only its
+      // partial's active rectangle; rank 0 sends nothing and merges the
+      // received buffers into its own partial in place. The model still
+      // charges the dense partial (`image_bytes`).
+      const PartialBlend blend =
+          ordered_alpha ? PartialBlend::kPremultiplied : PartialBlend::kDepth;
       for (std::size_t img = 0; img < slot.viz_out.images.size(); ++img) {
-        const std::vector<std::uint8_t> packed = pack_image(slot.viz_out.images[img]);
-        report.image_bytes = std::max(report.image_bytes, Bytes(packed.size()));
-        const auto gathered = comm.gather(packed, 0);
+        ImageBuffer& image = slot.viz_out.images[img];
+        report.image_bytes = std::max(report.image_bytes, packed_image_bytes(image));
+        const std::vector<std::uint8_t> packed =
+            r != 0 ? pack_partial(image, blend) : std::vector<std::uint8_t>{};
         report.counters.bytes_communicated += packed.size();
+        const auto gathered = [&] {
+          const trace::Span span("composite.gather");
+          return comm.gather(packed, 0);
+        }();
         if (r != 0) continue;
 
         // KernelTimer: the compositors fan out over the thread pool, and
         // rank 0 must be charged for the worker-executed pixel chunks.
         KernelTimer comp_timer;
+        const auto received = std::span(gathered).subspan(1);
         ImageBuffer merged;
-        std::vector<ImageBuffer> partials;
-        partials.reserve(static_cast<std::size_t>(M));
-        partials.push_back(std::move(slot.viz_out.images[img]));
-        for (int src = 1; src < M; ++src)
-          partials.push_back(unpack_image(gathered[static_cast<std::size_t>(src)]));
         if (ordered_alpha) {
-          merged = ImageBuffer(partials[0].width(), partials[0].height());
-          merged.clear({0, 0, 0, 0});
-          alpha_composite_premultiplied(partials, slot.view_order, merged,
-                                        report.counters);
+          merged = alpha_composite_partials(image, received, slot.view_order,
+                                            report.counters);
         } else {
-          // Pairwise reduction tree in ascending rank order: bit-
-          // identical to the sequential rank-order fold (ties resolve
-          // to the lower rank) but with log2(M) parallel levels.
-          depth_composite_tree(partials, report.counters);
-          merged = std::move(partials[0]);
+          depth_composite_partials(image, received, report.counters);
+          merged = std::move(image);
         }
         auto& comp_phase = report.phases["composite"];
         comp_phase.cpu_seconds += comp_timer.elapsed();

@@ -17,6 +17,15 @@ PhaseSample get_phase(const RankReport& report, const std::string& name) {
   return it != report.phases.end() ? it->second : PhaseSample{};
 }
 
+/// Host CPU seconds per pixel of one dense merge (depth test +
+/// conditional copy): the least a modelled full-frame merge costs.
+constexpr double kMergeSecondsPerPixel = 2e-9;
+
+/// Pixels of one partial, from its dense exchange size (20 B/pixel).
+double image_pixels(Bytes image_bytes) {
+  return double(image_bytes) / double(sizeof(float) * 5);
+}
+
 } // namespace
 
 NodePhaseTimes reduce_reports(const std::vector<RankReport>& reports,
@@ -66,20 +75,15 @@ NodePhaseTimes reduce_reports(const std::vector<RankReport>& reports,
   out.viz_utilization = viz_time_sum > 0 ? viz_util_weighted / viz_time_sum : 1.0;
 
   // Binary-swap compositing: every node blends ~2 full images' worth of
-  // pixels regardless of node count. The rank measurement covers
-  // (ranks - 1) full-image merges; rescale to 2. With a single
-  // measurement rank there is nothing to scale from; fall back to a
-  // per-pixel cost estimate.
+  // pixels regardless of node count. The rank measurement covers rank
+  // 0's merges of the other (ranks - 1) partials' active rectangles
+  // (the sparse exchange of DESIGN.md §4.3); rescale those merges to 2.
+  // With a single measurement rank nothing is measured, and
+  // compose_timeline's dense floor prices the merges alone.
   const int measured_merges = static_cast<int>(reports.size()) - 1;
   const double modelled_merges = 2.0;
-  double composite_cpu_scaled;
-  if (measured_merges > 0 && composite_cpu > 0) {
-    composite_cpu_scaled = composite_cpu * modelled_merges / double(measured_merges);
-  } else {
-    // ~2 ns per pixel per merge (depth test + conditional copy).
-    const double pixels = double(out.image_bytes) / double(sizeof(float) * 5);
-    composite_cpu_scaled = pixels * modelled_merges * 2e-9;
-  }
+  const double composite_cpu_scaled =
+      measured_merges > 0 ? composite_cpu * modelled_merges / double(measured_merges) : 0.0;
   out.root_composite = cluster::node_compute_time(machine, composite_cpu_scaled);
   // The artifact on disk is the 3-bytes-per-pixel image, not the
   // 20-bytes-per-pixel packed color+depth exchange format.
@@ -105,14 +109,23 @@ cluster::Timeline compose_timeline(const NodePhaseTimes& times,
   const double steps = double(timesteps);
   const Seconds gen = times.generate / steps;
   Seconds viz = times.viz_compute / steps;
-  // root_composite is normalized to binary swap's ~2 merges per node;
-  // direct send makes the root alone perform all (viz_nodes - 1)
-  // merges.
-  Seconds comp = times.root_composite / steps;
-  if (direct_send_composite)
-    comp *= double(std::max(1, layout.viz_node_count() - 1)) / 2.0;
-  const Seconds write = times.root_write * double(images_per_timestep);
   const int viz_nodes = layout.viz_node_count();
+  // root_composite is normalized to binary swap's ~2 merges per node;
+  // direct send (the paper-era VTK gather) makes the root alone perform
+  // all (viz_nodes - 1) merges. Both model merges of full frames, but
+  // the executed exchange is sparse (rank 0 merges only active
+  // rectangles, DESIGN.md §4.3), so a measured merge can cost less than
+  // a full-frame one, and less at higher node counts, where each rank
+  // draws less. Charge each merge at least the dense per-pixel
+  // estimate, as the network terms charge the dense image_bytes.
+  const Seconds dense_merge =
+      cluster::node_compute_time(
+          machine, image_pixels(times.image_bytes) * kMergeSecondsPerPixel) *
+      double(images_per_timestep);
+  const double merges =
+      direct_send_composite ? double(std::max(1, viz_nodes - 1)) : 2.0;
+  const Seconds comp = std::max(times.root_composite / steps / 2.0, dense_merge) * merges;
+  const Seconds write = times.root_write * double(images_per_timestep);
   // Image-combination network time, every image of the timestep:
   // binary swap for the optimized path, or a direct-send gather whose
   // root link serializes over all senders.

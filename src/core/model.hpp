@@ -82,8 +82,8 @@ struct NodePhaseTimes {
 /// Reduce rank reports to modelled per-node phase times. Compositing is
 /// modelled as binary swap: each participating node blends ~2 full
 /// images' worth of pixels regardless of node count, so the rank
-/// measurements of "composite" ((ranks - 1) full-image merges) are
-/// rescaled to 2 merges.
+/// measurements of "composite" (rank 0's merges of the other
+/// (ranks - 1) partials' active rectangles) are rescaled to 2 merges.
 NodePhaseTimes reduce_reports(const std::vector<RankReport>& reports,
                               const cluster::MachineSpec& machine,
                               const ModelOptions& options);
@@ -96,7 +96,9 @@ NodePhaseTimes reduce_reports(const std::vector<RankReport>& reports,
 /// serial direct-send gather to the root (true — the plain VTK
 /// geometry path, whose gather link serializes across senders; this is
 /// the "contention in a shared resource" behind the paper's Finding 7
-/// degradation of VTK at high node counts).
+/// degradation of VTK at high node counts). Under either model each
+/// merge costs at least a dense full-frame merge at a fixed per-pixel
+/// estimate, since the executed sparse exchange can measure less.
 ///
 /// `pipeline_depth` only affects `Coupling::kAsync` (DESIGN.md §13):
 /// the sim proxy may run up to `depth` timesteps ahead of the viz

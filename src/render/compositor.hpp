@@ -8,6 +8,7 @@
 // pixel); for semi-transparent ray-marched output the per-rank images
 // must be blended in front-to-back order of their partitions.
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -31,8 +32,11 @@ void depth_composite(std::span<const ImageBuffer> partials, ImageBuffer& out,
 /// (nearest depth wins, tie -> lower partial index) is associative, and
 /// every pair merge keeps the lower-index side on the destination, so
 /// the tree composites bit-identically to the sequential fold — and to
-/// itself under any worker schedule. `partials` is consumed (merged in
-/// place) to avoid copying full framebuffers at every level.
+/// itself under any worker schedule. NaN depths are the exception: a
+/// pair merge keeps a NaN destination, so a NaN at a subtree root hides
+/// the rest of that subtree, which the fold would still merge.
+/// `partials` is consumed (merged in place) to avoid copying full
+/// framebuffers at every level.
 void depth_composite_tree(std::vector<ImageBuffer>& partials,
                           cluster::PerfCounters& counters);
 
@@ -57,9 +61,50 @@ void alpha_composite_premultiplied(std::span<const ImageBuffer> partials,
                                    std::span<const std::size_t> order,
                                    ImageBuffer& out, cluster::PerfCounters& counters);
 
-/// Serialize / deserialize an image for minimpi transport during
-/// compositing (color + depth, little-endian).
+/// Serialize / deserialize a whole image (color + depth, little-endian):
+/// the dense exchange format, which the cluster model still charges
+/// (`packed_image_bytes`) and tests use as a reference.
 std::vector<std::uint8_t> pack_image(const ImageBuffer& image);
 ImageBuffer unpack_image(std::span<const std::uint8_t> bytes);
+
+/// pack_image(image).size(), without packing.
+Bytes packed_image_bytes(const ImageBuffer& image);
+
+// ---- Sparse partials (IceT-style active rectangles, DESIGN.md §4.3).
+// A partial only sends the bounding rectangle of the pixels a merge can
+// change, and rank 0 merges the received buffers in place.
+
+/// Which merge a partial feeds, and so which of its pixels are active:
+/// the depth merge adopts a pixel only when its depth is strictly
+/// nearer, so only depths `< +inf` are active; the premultiplied blend
+/// skips `alpha <= 0`, so only `!(alpha <= 0)` is active (NaN included).
+/// Leaving inactive pixels out is therefore exact.
+enum class PartialBlend { kDepth, kPremultiplied };
+
+/// Sparse partial: six int64s (width, height, x0, x1, y0, y1), then the
+/// colors, then the depths of the active rectangle [x0, x1) x [y0, y1),
+/// row-major. The six-int64 header keeps both float blocks 16-byte
+/// aligned. An image with no active pixel packs to the header alone.
+std::vector<std::uint8_t> pack_partial(const ImageBuffer& image, PartialBlend blend);
+
+/// Depth-merge sparse partials (pack_partial kDepth of ranks 1..M-1, in
+/// rank order) into `image`, rank 0's own partial, in place. Ascending
+/// rank order with strict `<` is the sequential fold `depth_composite`
+/// computes, so the lowest rank wins ties. Each buffer is read in place;
+/// a damaged header, a frame-size mismatch or a wrong byte count throws
+/// eth::Error before any pixel is merged.
+void depth_composite_partials(ImageBuffer& image,
+                              std::span<const std::vector<std::uint8_t>> partials,
+                              cluster::PerfCounters& counters);
+
+/// Blend `own` (partial 0) and the sparse partials (pack_partial
+/// kPremultiplied; partial k is `partials[k - 1]`) front to back in
+/// `order` into a transparent frame, with the arithmetic of
+/// alpha_composite_premultiplied. Buffers are validated and read as in
+/// depth_composite_partials.
+ImageBuffer alpha_composite_partials(const ImageBuffer& own,
+                                     std::span<const std::vector<std::uint8_t>> partials,
+                                     std::span<const std::size_t> order,
+                                     cluster::PerfCounters& counters);
 
 } // namespace eth

@@ -181,6 +181,30 @@ TEST(ComposeTimeline, DirectSendCompositeDegradesAtScale) {
   EXPECT_GT(at_nodes(400, true), at_nodes(400, false));
 }
 
+// The executed exchange is sparse, so a measured merge can cost far less
+// than the full-frame merge both composite models charge: each merge
+// costs at least the dense per-pixel estimate, and more only when the
+// measurement says so.
+TEST(ComposeTimeline, MergesCostAtLeastADenseFrame) {
+  NodePhaseTimes t = sample_times();
+  for (const bool direct : {true, false}) {
+    SCOPED_TRACE(direct ? "direct send" : "binary swap");
+    const auto composite_seconds = [&](Seconds root_composite) {
+      t.root_composite = root_composite;
+      const auto timeline = compose_timeline(
+          t, layout(cluster::Coupling::kIntercore, 400), machine(), {}, 1, 8, direct);
+      double total = 0;
+      for (const cluster::BusySpan& span : timeline.spans())
+        if (std::string(span.label) == "model.composite") total += span.duration();
+      return total;
+    };
+    const double dense = composite_seconds(0.0);
+    EXPECT_GT(dense, 0.0);
+    EXPECT_EQ(composite_seconds(1e-9), dense);
+    EXPECT_GT(composite_seconds(1.0), dense);
+  }
+}
+
 TEST(ComposeTimeline, ValidatesInputs) {
   const auto t = sample_times();
   EXPECT_THROW(

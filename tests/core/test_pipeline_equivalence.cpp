@@ -146,21 +146,25 @@ struct Golden {
 /// and the trace gained the matching counter, which changes the CSV
 /// and histogram digests even with `transport_codec none` (the wire
 /// bytes themselves are byte-identical to the pre-codec format — see
-/// GoldenWireFormat). The untouched image column is the proof that the
-/// pixel path never moved.
+/// GoldenWireFormat). The trace fingerprints were re-pinned again when
+/// the composite stage moved to the sparse exchange (DESIGN.md §4.3):
+/// rank 0 no longer emits `pack_image`, every rank emits one
+/// `composite.gather` span per image and every other rank one
+/// `composite.pack`. The untouched image and robustness columns are the
+/// proof that neither the pixel path nor the counters moved.
 constexpr Golden kGoldens[] = {
     {"hacc", "tight", 0xbcfd56275ae66442ull, 0x5116d0e87ceb79a9ull,
-     0xc1758405927c636dull},
+     0xfd1a409d8d56ec1eull},
     {"hacc", "intercore", 0xbcfd56275ae66442ull, 0xf198c9fcdd23e1d2ull,
-     0x91f687b12744aef6ull},
+     0x288298811aa99e15ull},
     {"hacc", "internode", 0x4c6082dc2c4c3a08ull, 0x0ae6e17962aa8b62ull,
-     0x86cc5c740817476aull},
+     0x3bbe7e005c45db23ull},
     {"xrage", "tight", 0x0e550d81b54fe228ull, 0x5116d0e87ceb79a9ull,
-     0xf7d8265933f85ed4ull},
+     0x59f1492a1a5565edull},
     {"xrage", "intercore", 0x0e550d81b54fe228ull, 0xf9669c6416eed698ull,
-     0x53764dcfb265368aull},
+     0x42c0b055f8c1c37aull},
     {"xrage", "internode", 0x98f87a65c46ed5ddull, 0xb1f716ab9d6e9999ull,
-     0xd283027ccd4327b7ull},
+     0xab212098c6a0b21dull},
 };
 
 const Golden& golden_for(const std::string& app, const std::string& coupling) {
@@ -225,6 +229,35 @@ TEST(PipelineEquivalence, AsyncDepthKeepsArtifactsAndShrinksMakespan) {
       EXPECT_EQ(deep.robustness, depth1.robustness);
       EXPECT_LT(deep.makespan, depth1.makespan);
     }
+  }
+}
+
+// The goldens above pin only 2-rank opaque images. These pin the DVR
+// premultiplied blend and a rank count that is not a power of two, both
+// captured from the dense composite exchange (pack_image -> gather ->
+// unpack_image -> depth_composite_tree / alpha_composite_premultiplied)
+// at commit 43d497d, before the sparse active-rectangle exchange
+// replaced it.
+TEST(PipelineEquivalence, ThreeRankImagesMatchDenseExchangeGoldens) {
+  const CacheOffGuard cache_off;
+  ExperimentSpec points = hacc_spec();
+  points.name = "pipe-equiv-points";
+  points.viz.algorithm = insitu::VizAlgorithm::kVtkPoints;
+  ExperimentSpec dvr = xrage_spec();
+  dvr.name = "pipe-equiv-dvr";
+  dvr.viz.algorithm = insitu::VizAlgorithm::kRaycastDvr;
+  const std::pair<ExperimentSpec, std::uint64_t> cases[] = {
+      {points, 0xc93035024887c5ebull},
+      {dvr, 0x02bd2c8e4ea69320ull},
+  };
+  for (auto [spec, image_fp] : cases) {
+    SCOPED_TRACE(spec.name);
+    spec.layout.coupling = cluster::Coupling::kIntercore;
+    spec.layout.nodes = 3;
+    spec.layout.ranks = 3;
+    const RunResult result = Harness().run(spec);
+    ASSERT_TRUE(result.final_image.has_value());
+    EXPECT_EQ(fingerprint_bytes(pack_image(*result.final_image)), image_fp);
   }
 }
 

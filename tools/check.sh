@@ -46,11 +46,12 @@ ctest --test-dir build-release --output-on-failure -R 'SimdGate'
 # Trace gate (DESIGN.md §11): run a miniature faulted sweep end-to-end
 # with ETH_TRACE on and validate the exported Chrome trace — JSON
 # schema plus presence of a span from every pipeline phase (sim load,
-# serialize, transport, filter, render, composite, cache, retries and
-# the modelled-timeline projection). A missing name here means a layer
-# lost its instrumentation. The socket-coupled transport path is
-# covered by the e2e trace test, run here by name so a filter typo
-# cannot silently skip it.
+# serialize, transport, filter, render, the sparse composite exchange's
+# pack/gather/merge, cache, retries and the modelled-timeline
+# projection). A missing name here means a layer lost its
+# instrumentation. The socket-coupled transport path is covered by the
+# e2e trace test, run here by name so a filter typo cannot silently
+# skip it.
 echo "==== trace gate (build-release) ===="
 ctest --test-dir build-release --output-on-failure \
   -R 'Trace.SocketCoupledExchangeTracesEveryTransportPhase'
@@ -60,8 +61,8 @@ ETH_TRACE="${trace_json}" ./build-release/tools/eth_explore tools/trace_gate.cfg
   sim.load serialize deserialize transport.send transport.recv \
   transport.compress transport.decompress bytes_on_wire transfer \
   transfer.retry filter.sample render.build render.raycast composite \
-  pack_image chunk cache.miss cache_bytes model.generate model.viz \
-  model.composite model.write
+  composite.pack composite.gather chunk cache.miss cache_bytes \
+  model.generate model.viz model.composite model.write
 rm -f "${trace_json}"
 
 # CodecGate (DESIGN.md §15): the wire codec promises bit-identical
@@ -147,16 +148,17 @@ echo "==== async gate (build-release, traced async sweep) ===="
 async_json="$(mktemp /tmp/eth_async_gate.XXXXXX.json)"
 ETH_TRACE="${async_json}" ./build-release/tools/eth_explore tools/async_gate.cfg
 ./build-release/tools/eth_trace_check "${async_json}" \
-  sim.load transfer filter.sample render.raycast composite pack_image \
-  model.generate model.viz 'stage.queue_wait' 'stage.*'
+  sim.load transfer filter.sample render.raycast composite composite.pack \
+  composite.gather model.generate model.viz 'stage.queue_wait' 'stage.*'
 rm -f "${async_json}"
 
 # AddressSanitizer over the data/in-situ suites: the zero-copy data
 # plane aliases receive buffers and peers' live arrays (common/buffer),
 # so the lifetime contract — keepalives pin every borrowed span — is
 # exactly what ASan's use-after-free detection verifies. The Error suite
-# replaces the global operator new, and the xRAGE generator writes its
-# fields from pool workers; both run here too.
+# replaces the global operator new, the xRAGE generator writes its
+# fields from pool workers, and the compositor's rank-0 merge reads
+# received partials in place; all three run here too.
 asan_variant() {
   local dir="build-asan"
   echo "==== configure ${dir} (address sanitizer) ===="
@@ -166,7 +168,7 @@ asan_variant() {
   cmake --build "${dir}" -j "${jobs}"
   echo "==== test ${dir} (data + insitu + buffer suites) ===="
   ctest --test-dir "${dir}" --output-on-failure \
-    -R 'Buffer|CowArray|DataPlane|WireMessage|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset|Error|XrageGenerator'
+    -R 'Buffer|CowArray|DataPlane|WireMessage|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset|Error|XrageGenerator|Compositor'
 }
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" asan_variant
 
