@@ -335,6 +335,11 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
   const bool async_coupling = spec.layout.coupling == cluster::Coupling::kAsync;
   const bool tight = spec.layout.coupling == cluster::Coupling::kTight;
   const int pipeline_depth = async_coupling ? spec.resolved_pipeline_depth() : 1;
+  // Opaque pipelines merge partials by depth (order-independent); the
+  // DVR pipeline's premultiplied partials must blend in view order.
+  const bool ordered_alpha = spec.viz.algorithm == insitu::VizAlgorithm::kRaycastDvr;
+  const PartialBlend blend =
+      ordered_alpha ? PartialBlend::kPremultiplied : PartialBlend::kDepth;
 
   mpi::run_world(M, [&](mpi::Comm& comm) {
     const int r = comm.rank();
@@ -373,7 +378,8 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
       double transfer_cpu = 0;
       Bytes transferred = 0;
       insitu::RobustnessReport robustness;
-      insitu::VizRankOutput viz_out;
+      std::vector<ImageBuffer> partials; ///< rank 0: its partials, the merge targets
+      std::vector<std::vector<std::uint8_t>> packed; ///< ranks 1..M-1: packed partials
       std::vector<std::size_t> view_order;
       std::vector<ImageBuffer> merged; ///< rank 0: composited images
       bool delivered = false;
@@ -596,8 +602,19 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
               Real(comm.allreduce_scalar(hi, mpi::ReduceOp::kMax));
         }
       }
-      slot.viz_out = insitu::run_viz_rank(*slot.viz_data, rank_cfg, base_camera);
-      insitu::VizRankOutput& viz_out = slot.viz_out;
+      // Sparse exchange (DESIGN.md §4.3): ranks 1..M-1 render every image
+      // into one frame and pack it as soon as its render timer stops, so
+      // only the sparse bytes outlive the image. Rank 0 keeps each frame:
+      // it is the merge target. The pack is outside every measured phase.
+      ImageBuffer frame;
+      const insitu::VizRankOutput viz_out = insitu::run_viz_rank(
+          *slot.viz_data, rank_cfg, base_camera, frame, [&](ImageBuffer& image) {
+            report.image_bytes = std::max(report.image_bytes, packed_image_bytes(image));
+            if (r == 0)
+              slot.partials.push_back(std::move(image));
+            else
+              slot.packed.push_back(pack_partial(image, blend));
+          });
       for (const char* phase : {"sample", "extract", "build", "render"}) {
         const double cpu = viz_out.counters.phases.get(phase);
         if (cpu <= 0) continue;
@@ -627,15 +644,11 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
     };
 
     // ---- stage "composite": each image merges at rank 0 over minimpi
-    // (collectives — rank thread, timestep order). Opaque pipelines
-    // merge by depth (order-independent); the DVR pipeline's
-    // premultiplied partials must blend in view order, so ranks first
-    // share their partition's eye distance.
+    // (collectives — rank thread, timestep order). For the DVR blend,
+    // ranks first share their partition's eye distance.
     const auto composite_stage = [&](Index t) {
       TimestepSlot& slot = slot_for(t);
       if (!slot.delivered) return;
-      const bool ordered_alpha =
-          spec.viz.algorithm == insitu::VizAlgorithm::kRaycastDvr;
       if (ordered_alpha) {
         const double my_dist =
             double(length(slot.viz_data->bounds().center() - base_camera.eye()));
@@ -662,17 +675,14 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
         }
       }
 
-      // Sparse exchange (DESIGN.md §4.3): every rank but 0 sends only its
-      // partial's active rectangle; rank 0 sends nothing and merges the
-      // received buffers into its own partial in place. The model still
-      // charges the dense partial (`image_bytes`).
-      const PartialBlend blend =
-          ordered_alpha ? PartialBlend::kPremultiplied : PartialBlend::kDepth;
-      for (std::size_t img = 0; img < slot.viz_out.images.size(); ++img) {
-        ImageBuffer& image = slot.viz_out.images[img];
-        report.image_bytes = std::max(report.image_bytes, packed_image_bytes(image));
+      // Every rank but 0 sends the active rectangle the viz stage packed;
+      // rank 0 sends nothing and merges the received buffers into its own
+      // partial in place. The model still charges the dense partial
+      // (`image_bytes`).
+      const auto images = static_cast<std::size_t>(spec.viz.images_per_timestep);
+      for (std::size_t img = 0; img < images; ++img) {
         const std::vector<std::uint8_t> packed =
-            r != 0 ? pack_partial(image, blend) : std::vector<std::uint8_t>{};
+            r != 0 ? std::move(slot.packed[img]) : std::vector<std::uint8_t>{};
         report.counters.bytes_communicated += packed.size();
         const auto gathered = [&] {
           const trace::Span span("composite.gather");
@@ -684,6 +694,7 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
         // rank 0 must be charged for the worker-executed pixel chunks.
         KernelTimer comp_timer;
         const auto received = std::span(gathered).subspan(1);
+        ImageBuffer& image = slot.partials[img];
         ImageBuffer merged;
         if (ordered_alpha) {
           merged = alpha_composite_partials(image, received, slot.view_order,
@@ -721,7 +732,8 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
         }
       }
       slot.viz_data.reset();
-      slot.viz_out = insitu::VizRankOutput{};
+      slot.partials.clear();
+      slot.packed.clear();
       slot.merged.clear();
     };
 

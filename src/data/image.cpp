@@ -9,9 +9,10 @@
 
 namespace eth {
 
-ImageBuffer::ImageBuffer(Index width, Index height) : width_(width), height_(height) {
+ImageBuffer::ImageBuffer(Index width, Index height, Vec4f background)
+    : width_(width), height_(height) {
   require(width >= 0 && height >= 0, "ImageBuffer: negative dimensions");
-  color_.assign(static_cast<std::size_t>(width * height), Vec4f{0, 0, 0, 1});
+  color_.assign(static_cast<std::size_t>(width * height), background);
   depth_.assign(static_cast<std::size_t>(width * height),
                 std::numeric_limits<Real>::infinity());
 }

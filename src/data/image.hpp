@@ -7,6 +7,7 @@
 // and PPM output for eyeballing results.
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -17,7 +18,25 @@ namespace eth {
 class ImageBuffer {
 public:
   ImageBuffer() = default;
-  ImageBuffer(Index width, Index height);
+  /// A width x height frame cleared to `background` with depth = +inf.
+  ImageBuffer(Index width, Index height, Vec4f background = {0, 0, 0, 1});
+
+  ImageBuffer(const ImageBuffer&) = default;
+  ImageBuffer& operator=(const ImageBuffer&) = default;
+  /// A moved-from frame is empty (0 x 0), so its size never claims
+  /// pixels its arrays no longer hold.
+  ImageBuffer(ImageBuffer&& other) noexcept
+      : width_(std::exchange(other.width_, 0)),
+        height_(std::exchange(other.height_, 0)),
+        color_(std::exchange(other.color_, {})),
+        depth_(std::exchange(other.depth_, {})) {}
+  ImageBuffer& operator=(ImageBuffer&& other) noexcept {
+    width_ = std::exchange(other.width_, 0);
+    height_ = std::exchange(other.height_, 0);
+    color_ = std::exchange(other.color_, {});
+    depth_ = std::exchange(other.depth_, {});
+    return *this;
+  }
 
   Index width() const { return width_; }
   Index height() const { return height_; }

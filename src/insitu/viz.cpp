@@ -72,8 +72,34 @@ ArtifactCache* active_cache(const VizConfig& cfg) {
   return cfg.artifact_cache;
 }
 
+/// The render loop of every algorithm: per image, ready `frame` (cleared
+/// to `background`, reallocated only when its size is wrong), let
+/// `render` draw the image's camera into it under the "render" timer,
+/// then hand it to `sink`.
+template <typename RenderFn>
+void render_images(const VizConfig& cfg, const Camera& base_camera, Vec4f background,
+                   ImageBuffer& frame, const VizImageSink& sink,
+                   cluster::PerfCounters& counters, const RenderFn& render) {
+  for (Index img = 0; img < cfg.images_per_timestep; ++img) {
+    const Camera camera = camera_for_image(base_camera, img, cfg.images_per_timestep);
+    if (frame.width() == cfg.image_width && frame.height() == cfg.image_height)
+      frame.clear(background);
+    else
+      frame = ImageBuffer(cfg.image_width, cfg.image_height, background);
+
+    // KernelTimer, not ThreadCpuTimer: the renderers fan out over the
+    // pool, and cycles their chunks burn on worker threads must be
+    // charged to this rank's "render" phase.
+    KernelTimer timer;
+    render(camera, frame);
+    counters.phases.add("render", timer.elapsed());
+    sink(frame);
+  }
+}
+
 VizRankOutput run_particle(const DataSet& data, const VizConfig& cfg,
-                           const Camera& base_camera) {
+                           const Camera& base_camera, ImageBuffer& frame,
+                           const VizImageSink& sink) {
   require(data.kind() == DataSetKind::kPointSet,
           "run_viz_rank: particle algorithm needs PointSet input");
   VizRankOutput out;
@@ -137,15 +163,7 @@ VizRankOutput run_particle(const DataSet& data, const VizConfig& cfg,
   }
 
   RasterRenderer raster;
-  for (Index img = 0; img < cfg.images_per_timestep; ++img) {
-    const Camera camera = camera_for_image(base_camera, img, cfg.images_per_timestep);
-    ImageBuffer image(cfg.image_width, cfg.image_height);
-    image.clear();
-
-    // KernelTimer, not ThreadCpuTimer: the renderers below fan out over
-    // the pool, and cycles their chunks burn on worker threads must be
-    // charged to this rank's "render" phase.
-    KernelTimer timer;
+  const auto render = [&](const Camera& camera, ImageBuffer& image) {
     switch (cfg.algorithm) {
       case VizAlgorithm::kRaycastSpheres:
         raycaster.render_spheres(points, camera, image, ray_opts, out.counters);
@@ -169,14 +187,14 @@ VizRankOutput run_particle(const DataSet& data, const VizConfig& cfg,
       default:
         fail("run_particle: not a particle algorithm");
     }
-    out.counters.phases.add("render", timer.elapsed());
-    out.images.push_back(std::move(image));
-  }
+  };
+  render_images(cfg, base_camera, {0, 0, 0, 1}, frame, sink, out.counters, render);
   return out;
 }
 
 VizRankOutput run_volume(const DataSet& data, const VizConfig& cfg,
-                         const Camera& base_camera) {
+                         const Camera& base_camera, ImageBuffer& frame,
+                         const VizImageSink& sink) {
   require(data.kind() == DataSetKind::kStructuredGrid,
           "run_viz_rank: volume algorithm needs StructuredGrid input");
   VizRankOutput out;
@@ -275,13 +293,7 @@ VizRankOutput run_volume(const DataSet& data, const VizConfig& cfg,
     slice_opts_list.push_back(slice_opts);
   }
 
-  for (Index img = 0; img < cfg.images_per_timestep; ++img) {
-    const Camera camera = camera_for_image(base_camera, img, cfg.images_per_timestep);
-    ImageBuffer image(cfg.image_width, cfg.image_height);
-    image.clear();
-
-    // KernelTimer: charge worker-executed render chunks to this rank.
-    KernelTimer render_timer;
+  const auto render = [&](const Camera& camera, ImageBuffer& image) {
     if (cfg.algorithm == VizAlgorithm::kVtkGeometry) {
       MeshRenderOptions iso_opts;
       iso_opts.colormap = nullptr;
@@ -301,16 +313,17 @@ VizRankOutput run_volume(const DataSet& data, const VizConfig& cfg,
       raycaster.render_volume_scene(grid, cfg.volume_field, camera, image, iso_opts,
                                     slice_opts_list, out.counters);
     } else {
-      // DVR: premultiplied output over a transparent background.
-      image.clear({0, 0, 0, 0});
       DvrRaycastOptions dvr_opts;
       dvr_opts.transfer = &slice_map; // thermal map carries opacity
       raycaster.render_volume_dvr(grid, cfg.volume_field, camera, image, dvr_opts,
                                   out.counters);
     }
-    out.counters.phases.add("render", render_timer.elapsed());
-    out.images.push_back(std::move(image));
-  }
+  };
+  // DVR writes premultiplied output over a transparent background.
+  const Vec4f background = cfg.algorithm == VizAlgorithm::kRaycastDvr
+                               ? Vec4f{0, 0, 0, 0}
+                               : Vec4f{0, 0, 0, 1};
+  render_images(cfg, base_camera, background, frame, sink, out.counters, render);
   return out;
 }
 
@@ -318,12 +331,25 @@ VizRankOutput run_volume(const DataSet& data, const VizConfig& cfg,
 
 VizRankOutput run_viz_rank(const DataSet& data, const VizConfig& config,
                            const Camera& base_camera) {
+  ImageBuffer frame;
+  std::vector<ImageBuffer> images;
+  VizRankOutput out = run_viz_rank(data, config, base_camera, frame,
+                                   [&](ImageBuffer& image) {
+                                     images.push_back(std::move(image));
+                                   });
+  out.images = std::move(images);
+  return out;
+}
+
+VizRankOutput run_viz_rank(const DataSet& data, const VizConfig& config,
+                           const Camera& base_camera, ImageBuffer& frame,
+                           const VizImageSink& sink) {
   require(config.images_per_timestep > 0, "run_viz_rank: need at least one image");
   require(config.image_width > 0 && config.image_height > 0,
           "run_viz_rank: empty image");
   if (is_particle_algorithm(config.algorithm))
-    return run_particle(data, config, base_camera);
-  return run_volume(data, config, base_camera);
+    return run_particle(data, config, base_camera, frame, sink);
+  return run_volume(data, config, base_camera, frame, sink);
 }
 
 } // namespace eth::insitu

@@ -16,6 +16,7 @@
 //     kVtkGeometry    - isosurface + slice extraction, rasterized
 //     kRaycastVolume  - ray-marched isosurface + O(1) raycast slices
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -110,7 +111,8 @@ struct VizConfig {
 
 struct VizRankOutput {
   /// One partial (this-rank's-data-only) image per image index, with
-  /// eye-space depth for compositing.
+  /// eye-space depth for compositing. Empty from the sink form of
+  /// run_viz_rank, which hands each image to its sink instead.
   std::vector<ImageBuffer> images;
   /// Work accounting; phases: "sample", "extract", "build", "render".
   cluster::PerfCounters counters;
@@ -119,11 +121,26 @@ struct VizRankOutput {
   Index working_elements = 0; ///< after sampling
 };
 
+/// Receives each finished image of the sink form of run_viz_rank, in
+/// image order, after the image's "render" timer has stopped. `frame` is
+/// the caller's buffer: the sink may read it, overwrite it or move it
+/// out.
+using VizImageSink = std::function<void(ImageBuffer& frame)>;
+
 /// Run the configured pipeline on `data` (this rank's partition) with
 /// cameras derived from `base_camera` (which every rank must build from
 /// the GLOBAL bounds so partial images composite).
 VizRankOutput run_viz_rank(const DataSet& data, const VizConfig& config,
                            const Camera& base_camera);
+
+/// The same run, rendering every image into the caller's `frame` and
+/// handing it to `sink` instead of collecting it. Before each image the
+/// frame is cleared to the algorithm's background, depth +inf (opaque
+/// black; transparent for kRaycastDvr). It is reallocated only when its
+/// size is wrong, for example after the sink moved it out.
+VizRankOutput run_viz_rank(const DataSet& data, const VizConfig& config,
+                           const Camera& base_camera, ImageBuffer& frame,
+                           const VizImageSink& sink);
 
 /// Camera for image `i` of a sequence: orbit of the base camera.
 Camera camera_for_image(const Camera& base_camera, Index image, Index images);

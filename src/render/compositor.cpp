@@ -395,8 +395,7 @@ ImageBuffer alpha_composite_partials(const ImageBuffer& own,
   for (const std::size_t idx : order)
     require(idx < views.size(), "alpha_composite_partials: order index out of range");
 
-  ImageBuffer out(own.width(), own.height());
-  out.clear({0, 0, 0, 0});
+  ImageBuffer out(own.width(), own.height(), {0, 0, 0, 0});
   const Index width = out.width();
   const simd::KernelTable* table = simd::active_kernels();
   parallel_for(0, out.height(), kRowGrain, [&](Index y0, Index y1) {

@@ -159,13 +159,14 @@ void RaycastRenderer::render_spheres(const PointSet& points, const Camera& camer
       points.point_fields().has(options.scalar_field))
     scalars = &points.point_fields().get(options.scalar_field);
 
+  const CameraFrame frame = camera.frame(width, height);
   const Index n_chunks = plan_chunks(height, kRowGrain);
   cluster::CounterShards shards(n_chunks);
   parallel_for_chunks(0, height, n_chunks, [&](Index chunk, Index y0, Index y1) {
     cluster::PerfCounters& local = shards.at(chunk);
     for (Index py = y0; py < y1; ++py) {
       for (Index px = 0; px < width; ++px) {
-        const Ray ray = camera.generate_ray(px, py, width, height);
+        const Ray ray = frame.ray(px, py);
         ++local.rays_cast;
         if (bvh.empty()) continue;
         const SphereHit hit =

@@ -20,6 +20,35 @@ TEST(ImageBuffer, ConstructionClearsToBackground) {
   EXPECT_TRUE(std::isinf(img.depth(0, 0)));
   img.clear({1, 0, 0, 1});
   EXPECT_EQ(img.color(3, 2), (Vec4f{1, 0, 0, 1}));
+
+  const ImageBuffer transparent(3, 2, {0, 0, 0, 0});
+  EXPECT_EQ(transparent.color(2, 1), (Vec4f{0, 0, 0, 0}));
+  EXPECT_TRUE(std::isinf(transparent.depth(2, 1)));
+}
+
+TEST(ImageBuffer, MovedFromFrameIsEmpty) {
+  ImageBuffer a(4, 4);
+  a.set_color(1, 2, {1, 0, 0, 1});
+  ImageBuffer b = std::move(a);
+  EXPECT_EQ(b.num_pixels(), 16);
+  EXPECT_EQ(b.color(1, 2), (Vec4f{1, 0, 0, 1}));
+  EXPECT_EQ(a.width(), 0);
+  EXPECT_EQ(a.height(), 0);
+  EXPECT_EQ(a.num_pixels(), 0);
+  EXPECT_TRUE(a.colors().empty());
+  EXPECT_TRUE(a.depths().empty());
+
+  ImageBuffer c(2, 3);
+  c = std::move(b);
+  EXPECT_EQ(c.num_pixels(), 16);
+  EXPECT_EQ(c.color(1, 2), (Vec4f{1, 0, 0, 1}));
+  EXPECT_EQ(b.num_pixels(), 0);
+  EXPECT_EQ(b.byte_size(), 0u);
+
+  // A moved-from frame takes a new one.
+  b = ImageBuffer(2, 2);
+  EXPECT_EQ(b.num_pixels(), 4);
+  EXPECT_EQ(b.colors().size(), 4u);
 }
 
 TEST(ImageBuffer, DepthTestSetKeepsNearest) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
+#include "parallel/thread_pool.hpp"
 #include "sim/hacc_generator.hpp"
 #include "sim/xrage_generator.hpp"
 
@@ -239,6 +242,119 @@ TEST(VizRank, VolumeAccelerationPreservesTheImage) {
   EXPECT_LT(image_rmse(plain.images[0], accel.images[0]), 0.01);
   EXPECT_GT(accel.counters.phases.get("build"), 0.0);
   EXPECT_DOUBLE_EQ(plain.counters.phases.get("build"), 0.0);
+}
+
+class ScopedPool {
+public:
+  explicit ScopedPool(unsigned threads) : pool_(threads) { set_global_pool(&pool_); }
+  ~ScopedPool() { set_global_pool(nullptr); }
+  ScopedPool(const ScopedPool&) = delete;
+  ScopedPool& operator=(const ScopedPool&) = delete;
+
+private:
+  ThreadPool pool_;
+};
+
+constexpr VizAlgorithm kAllAlgorithms[] = {
+    VizAlgorithm::kRaycastSpheres, VizAlgorithm::kGaussianSplat,
+    VizAlgorithm::kVtkPoints,      VizAlgorithm::kVtkGeometry,
+    VizAlgorithm::kRaycastVolume,  VizAlgorithm::kRaycastDvr};
+
+void expect_same_bytes(const ImageBuffer& a, const ImageBuffer& b) {
+  ASSERT_EQ(a.width(), b.width());
+  ASSERT_EQ(a.height(), b.height());
+  ASSERT_EQ(a.colors().size(), b.colors().size());
+  ASSERT_EQ(a.depths().size(), b.depths().size());
+  EXPECT_EQ(std::memcmp(a.colors().data(), b.colors().data(),
+                        a.colors().size() * sizeof(Vec4f)),
+            0);
+  EXPECT_EQ(std::memcmp(a.depths().data(), b.depths().data(),
+                        a.depths().size() * sizeof(Real)),
+            0);
+}
+
+/// Overwrite every pixel with values no render starts from: NaN colors,
+/// finite and -inf depths.
+void poison(ImageBuffer& image) {
+  const Real nan = std::numeric_limits<Real>::quiet_NaN();
+  for (Vec4f& c : image.colors()) c = {nan, nan, nan, nan};
+  for (std::size_t i = 0; i < image.depths().size(); ++i)
+    image.depths()[i] = i % 2 == 0 ? Real(1e-3) : -std::numeric_limits<Real>::infinity();
+}
+
+TEST(VizFrameSink, ReusedFrameMatchesCollectedImagesAfterPoisoning) {
+  const auto points = hacc_data(3000);
+  const auto grid = xrage_data();
+  for (const unsigned threads : {1u, 4u}) {
+    const ScopedPool pool(threads);
+    for (const VizAlgorithm algorithm : kAllAlgorithms) {
+      SCOPED_TRACE(std::string(to_string(algorithm)) + " at " +
+                   std::to_string(threads) + " workers");
+      const DataSet& data =
+          is_particle_algorithm(algorithm) ? static_cast<const DataSet&>(*points) : *grid;
+      VizConfig cfg;
+      cfg.algorithm = algorithm;
+      cfg.image_width = 40;
+      cfg.image_height = 28;
+      cfg.images_per_timestep = 3;
+      const Camera camera = camera_for(data);
+      const VizRankOutput reference = run_viz_rank(data, cfg, camera);
+
+      ImageBuffer frame;
+      const Vec4f* storage = nullptr;
+      std::vector<ImageBuffer> seen;
+      const VizRankOutput out =
+          run_viz_rank(data, cfg, camera, frame, [&](ImageBuffer& image) {
+            if (storage == nullptr) storage = image.colors().data();
+            EXPECT_EQ(image.colors().data(), storage) << "frame was reallocated";
+            seen.push_back(image);
+            poison(image); // the next image must not see any of it
+          });
+      EXPECT_TRUE(out.images.empty());
+      ASSERT_EQ(seen.size(), reference.images.size());
+      for (std::size_t i = 0; i < seen.size(); ++i)
+        expect_same_bytes(seen[i], reference.images[i]);
+      EXPECT_EQ(out.counters.rays_cast, reference.counters.rays_cast);
+      EXPECT_EQ(out.counters.ray_steps, reference.counters.ray_steps);
+      EXPECT_EQ(out.counters.bvh_nodes_visited, reference.counters.bvh_nodes_visited);
+      EXPECT_EQ(out.counters.primitives_emitted, reference.counters.primitives_emitted);
+      EXPECT_EQ(out.input_elements, reference.input_elements);
+      EXPECT_EQ(out.working_elements, reference.working_elements);
+    }
+  }
+}
+
+TEST(VizFrameSink, MovedOutOrMisSizedFrameIsReallocated) {
+  const auto grid = xrage_data();
+  for (const VizAlgorithm algorithm :
+       {VizAlgorithm::kRaycastVolume, VizAlgorithm::kRaycastDvr}) {
+    SCOPED_TRACE(to_string(algorithm));
+    VizConfig cfg;
+    cfg.algorithm = algorithm;
+    cfg.image_width = 36;
+    cfg.image_height = 20;
+    cfg.images_per_timestep = 4;
+    const Camera camera = camera_for(*grid);
+    const VizRankOutput reference = run_viz_rank(*grid, cfg, camera);
+
+    // The frame starts at the wrong size. The sink keeps and poisons
+    // even images and moves odd ones out, so images alternate between
+    // a newly allocated frame and a cleared one.
+    ImageBuffer frame(5, 7);
+    std::vector<ImageBuffer> seen;
+    run_viz_rank(*grid, cfg, camera, frame, [&](ImageBuffer& image) {
+      if (seen.size() % 2 == 0) {
+        seen.push_back(image);
+        poison(image);
+      } else {
+        seen.push_back(std::move(image));
+      }
+    });
+    EXPECT_EQ(frame.num_pixels(), 0); // the last image was moved out
+    ASSERT_EQ(seen.size(), reference.images.size());
+    for (std::size_t i = 0; i < seen.size(); ++i)
+      expect_same_bytes(seen[i], reference.images[i]);
+  }
 }
 
 TEST(VizAlgorithm, NamesAndKinds) {

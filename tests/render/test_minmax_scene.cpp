@@ -34,7 +34,7 @@ TEST(CameraFrame, MatchesGenerateRay) {
         const Ray a = frame.ray(px, py);
         const Ray b = cam.generate_ray(px, py, 33, 21);
         EXPECT_EQ(a.origin, b.origin);
-        EXPECT_NEAR(length(a.direction - b.direction), 0, 1e-6);
+        EXPECT_EQ(a.direction, b.direction);
       }
   }
 }

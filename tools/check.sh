@@ -155,10 +155,12 @@ rm -f "${async_json}"
 # AddressSanitizer over the data/in-situ suites: the zero-copy data
 # plane aliases receive buffers and peers' live arrays (common/buffer),
 # so the lifetime contract — keepalives pin every borrowed span — is
-# exactly what ASan's use-after-free detection verifies. The Error suite
-# replaces the global operator new, the xRAGE generator writes its
-# fields from pool workers, and the compositor's rank-0 merge reads
-# received partials in place; all three run here too.
+# exactly what ASan's use-after-free detection verifies. The Error and
+# FrameAllocation suites replace the global operator new, the xRAGE
+# generator writes its fields from pool workers, the compositor's rank-0
+# merge reads received partials in place, and the viz stage reuses one
+# frame per timestep and moves frames out of it (ImageBuffer,
+# VizFrameSink); all of them run here too.
 asan_variant() {
   local dir="build-asan"
   echo "==== configure ${dir} (address sanitizer) ===="
@@ -168,7 +170,7 @@ asan_variant() {
   cmake --build "${dir}" -j "${jobs}"
   echo "==== test ${dir} (data + insitu + buffer suites) ===="
   ctest --test-dir "${dir}" --output-on-failure \
-    -R 'Buffer|CowArray|DataPlane|WireMessage|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset|Error|XrageGenerator|Compositor'
+    -R 'Buffer|CowArray|DataPlane|WireMessage|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset|Error|XrageGenerator|Compositor|ImageBuffer'
 }
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" asan_variant
 
