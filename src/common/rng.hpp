@@ -8,7 +8,9 @@
 // see identical input data. We use xoshiro256** seeded through
 // SplitMix64, the standard pairing recommended by the xoshiro authors.
 
+#include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "common/vec.hpp"
 
@@ -35,9 +37,12 @@ class Rng {
 public:
   explicit Rng(std::uint64_t seed = 0x853c49e6748fea9bull) { reseed(seed); }
 
+  /// Restart the stream: `Rng(seed)` and `reseed(seed)` draw the same
+  /// values, normals included (no Box-Muller variate survives).
   void reseed(std::uint64_t seed) {
     SplitMix64 sm(seed);
     for (auto& s : s_) s = sm.next();
+    pending_ = Pending::kNone;
   }
 
   std::uint64_t next_u64() {
@@ -73,21 +78,45 @@ public:
 
   /// Standard normal via Box-Muller (cached second variate).
   double normal() {
-    if (has_cached_) {
-      has_cached_ = false;
-      return cached_;
+    switch (pending_) {
+      case Pending::kVariate:
+        pending_ = Pending::kNone;
+        return cached_;
+      case Pending::kPair:
+        pending_ = Pending::kNone;
+        return box_muller(pair_u1_, pair_u2_).second;
+      case Pending::kNone:
+        break;
     }
-    double u1 = uniform();
-    while (u1 <= 1e-300) u1 = uniform();
-    const double u2 = uniform();
-    const double r = std::sqrt(-2.0 * std::log(u1));
-    const double theta = 6.283185307179586 * u2;
-    cached_ = r * std::sin(theta);
-    has_cached_ = true;
-    return r * std::cos(theta);
+    const double u1 = nonzero_uniform();
+    const auto [first, second] = box_muller(u1, uniform());
+    cached_ = second;
+    pending_ = Pending::kVariate;
+    return first;
   }
 
   double normal(double mean, double stddev) { return mean + stddev * normal(); }
+
+  /// Skip `n` 64-bit draws: each of uniform(), uniform_index() and
+  /// bernoulli() is one, point_in_box() three and unit_vector() two.
+  /// The Box-Muller cache is untouched, as drawing would leave it.
+  void discard(std::uint64_t n) {
+    for (; n > 0; --n) next_u64();
+  }
+
+  /// Skip one normal(): the stream and the Box-Muller cache end exactly
+  /// as normal() leaves them, but no variate is computed. A pair drawn
+  /// here keeps its two uniforms, and its second variate is computed
+  /// only if a later normal() takes it.
+  void discard_normal() {
+    if (pending_ != Pending::kNone) {
+      pending_ = Pending::kNone;
+      return;
+    }
+    pair_u1_ = nonzero_uniform();
+    pair_u2_ = uniform();
+    pending_ = Pending::kPair;
+  }
 
   /// Uniform direction on the unit sphere.
   Vec3f unit_vector() {
@@ -103,13 +132,38 @@ public:
   }
 
 private:
+  /// State of Box-Muller's second variate.
+  enum class Pending : std::uint8_t {
+    kNone,
+    kVariate, ///< computed, in cached_
+    kPair,    ///< not yet computed from (pair_u1_, pair_u2_)
+  };
+
   static constexpr std::uint64_t rotl(std::uint64_t v, int k) {
     return (v << k) | (v >> (64 - k));
   }
 
+  /// Box-Muller's u1: log(u1) must be finite.
+  double nonzero_uniform() {
+    double u1 = uniform();
+    while (u1 <= 1e-300) u1 = uniform();
+    return u1;
+  }
+
+  /// Both variates of one uniform pair. normal() and a discarded pair
+  /// go through this one function, so a variate's bits never depend on
+  /// which of them computed it.
+  static std::pair<double, double> box_muller(double u1, double u2) {
+    const double r = std::sqrt(-2.0 * std::log(u1));
+    const double theta = 6.283185307179586 * u2;
+    return {r * std::cos(theta), r * std::sin(theta)};
+  }
+
   std::uint64_t s_[4]{};
+  Pending pending_ = Pending::kNone;
   double cached_ = 0.0;
-  bool has_cached_ = false;
+  double pair_u1_ = 0.0;
+  double pair_u2_ = 0.0;
 };
 
 /// Derive a child seed for a (seed, stream) pair. Used to give each rank

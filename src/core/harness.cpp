@@ -141,13 +141,53 @@ ShareArtifact share_artifact(const ExperimentSpec& spec, std::uint64_t app_fp,
           }};
 }
 
-/// Load (or synthesize) one rank's share through the artifact cache.
+/// In-memory HACC synthesis: every share is a filtered view of one
+/// particle stream per timestep (sim::generate_hacc_shares).
+bool in_memory_hacc(const ExperimentSpec& spec) {
+  return spec.application == Application::kHacc && !spec.use_disk_proxy;
+}
+
+/// CPU charged to each in-memory HACC share: the pass draws the whole
+/// simulation's stream, which `parts` modelled nodes would share, so a
+/// share pays 1/parts of it whichever shares the pass made.
+double hacc_share_cpu(double pass_cpu, int parts) { return pass_cpu / parts; }
+
+/// Load (or synthesize) rank r's share of `parts` through the artifact
+/// cache. In-memory HACC resolves one entry per (data, timestep, parts,
+/// ranks) holding every rank's slab from one generate_hacc_shares pass:
+/// the first rank to ask runs it, the others wait and alias their slab.
 CacheLookup cached_share(ArtifactCache& cache, const ExperimentSpec& spec,
-                         std::uint64_t app_fp, const std::string& case_name,
-                         int share, int parts, Index t, int r, bool from_disk) {
-  const ShareArtifact artifact =
-      share_artifact(spec, app_fp, case_name, share, parts, t, r, from_disk);
-  return cache.get_or_compute(artifact.key, artifact.factory);
+                         std::uint64_t app_fp, const std::string& case_name, int parts,
+                         Index t, int r, int M) {
+  const int share = share_index(r, M, parts);
+  if (!in_memory_hacc(spec)) {
+    const ShareArtifact artifact =
+        share_artifact(spec, app_fp, case_name, share, parts, t, r, spec.use_disk_proxy);
+    return cache.get_or_compute(artifact.key, artifact.factory);
+  }
+  using Slabs = std::vector<std::shared_ptr<const PointSet>>;
+  const std::uint64_t pass_fp = fingerprint_chain(
+      app_fp, strprintf("hacc pass P=%d M=%d t=%lld", parts, M, static_cast<long long>(t)));
+  const CacheLookup pass =
+      cache.get_or_compute({pass_fp, "generate_hacc_shares"}, [&]() -> CacheArtifact {
+        KernelTimer timer;
+        sim::HaccParams params = spec.hacc;
+        params.timestep = t;
+        std::vector<int> shares;
+        for (int rank = 0; rank < M; ++rank) shares.push_back(share_index(rank, M, parts));
+        auto slabs =
+            std::make_shared<Slabs>(sim::generate_hacc_shares(params, shares, parts));
+        cluster::PerfCounters recorded;
+        recorded.phases.add("generate", hacc_share_cpu(timer.elapsed(), parts));
+        // Ranks with one share alias one slab; shares ascend with the
+        // rank, so those ranks are adjacent.
+        std::size_t bytes = 0;
+        for (std::size_t k = 0; k < slabs->size(); ++k)
+          if (k == 0 || (*slabs)[k] != (*slabs)[k - 1]) bytes += (*slabs)[k]->byte_size();
+        return CacheArtifact{std::move(slabs), bytes, std::move(recorded), pass_fp};
+      });
+  return {pass.as<Slabs>()->at(static_cast<std::size_t>(r)), pass.recorded,
+          share_fingerprint(app_fp, share, parts, t), pass.hit};
 }
 
 } // namespace
@@ -402,9 +442,7 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
       if (cache_on) {
         const CacheLookup lookup = [&] {
           const trace::Span span("sim.load");
-          return cached_share(cache, spec, app_fp, sim_case,
-                              share_index(r, M, P_sim), P_sim, t, r,
-                              spec.use_disk_proxy);
+          return cached_share(cache, spec, app_fp, sim_case, P_sim, t, r, M);
         }();
         slot.sim_data = lookup.as<DataSet>();
         slot.data_fp = lookup.content_fp;
@@ -437,7 +475,11 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
         } else {
           slot.sim_data = produce_share(spec, share_index(r, M, P_sim), P_sim, t);
         }
-        slot.generate_cpu += gen_timer.elapsed();
+        // Without the cache an in-memory HACC pass makes this rank's slab
+        // alone, and is charged as the shared pass would be.
+        slot.generate_cpu += in_memory_hacc(spec)
+                                 ? hacc_share_cpu(gen_timer.elapsed(), P_sim)
+                                 : gen_timer.elapsed();
       }
       slot.generate_items =
           Index(double(dataset_elements(*slot.sim_data)) * spec.data_scale);
@@ -471,8 +513,7 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
         const trace::Span span("sim.load");
         if (cache_on) {
           const CacheLookup lookup =
-              cached_share(cache, spec, app_fp, viz_case, share_index(r, M, P_viz),
-                           P_viz, t, r, spec.use_disk_proxy);
+              cached_share(cache, spec, app_fp, viz_case, P_viz, t, r, M);
           slot.sim_data = lookup.as<DataSet>();
           slot.data_fp = lookup.content_fp;
           slot.generate_cpu += lookup.recorded.phases.get("generate");

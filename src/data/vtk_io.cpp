@@ -1,5 +1,7 @@
 #include "data/vtk_io.hpp"
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -58,6 +60,13 @@ std::unique_ptr<DataSet> read_dataset(const std::string& path) {
   require(starts_with(bytes_line, "bytes "), "'" + path + "': missing bytes line");
   const Index payload_size = parse_index(bytes_line.substr(6), path);
   require(payload_size >= 0, "'" + path + "': negative payload size");
+  // The header is untrusted: a payload larger than the rest of the file
+  // is damage, and must not size an allocation.
+  struct stat st {};
+  const long header_end = std::ftell(f.get());
+  require(fstat(fileno(f.get()), &st) == 0 && header_end >= 0 &&
+              payload_size <= st.st_size - header_end,
+          "'" + path + "': payload size exceeds the file");
 
   std::vector<std::uint8_t> payload(static_cast<std::size_t>(payload_size));
   require(std::fread(payload.data(), 1, payload.size(), f.get()) == payload.size(),

@@ -17,6 +17,8 @@
 // timestep), so all couplings/algorithms see identical input.
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "data/point_set.hpp"
 
@@ -44,6 +46,17 @@ std::unique_ptr<PointSet> generate_hacc(const HaccParams& params);
 /// equals (as a set) generate_hacc of the same params.
 std::unique_ptr<PointSet> generate_hacc_rank(const HaccParams& params, int rank,
                                              int ranks);
+
+/// Every listed slab of `parts` in one pass over the particle stream:
+/// element k equals generate_hacc_rank(params, shares[k], parts), and
+/// repeated shares alias one PointSet. A serial pass skips through the
+/// stream without any math and checkpoints the generator every fixed
+/// block of particles; the blocks then replay on the global pool and
+/// merge in block order, so the bytes depend on neither the pool size
+/// nor the block size. Particles outside every listed slab skip their
+/// velocity math.
+std::vector<std::shared_ptr<const PointSet>> generate_hacc_shares(
+    const HaccParams& params, std::span<const int> shares, int parts);
 
 /// Extract slab `rank` of `ranks` from an already-generated full box —
 /// identical (same particles, same order) to generate_hacc_rank of the

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 namespace eth {
 namespace {
@@ -26,6 +27,73 @@ TEST(Rng, ReseedRestartsStream) {
   for (int i = 0; i < 10; ++i) first.push_back(a.next_u64());
   a.reseed(42);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(a.next_u64(), first[static_cast<std::size_t>(i)]);
+
+  // Normals too: an odd count leaves a Box-Muller variate cached, and a
+  // discarded normal leaves an uncomputed pair; neither survives reseed.
+  std::vector<double> normals;
+  a.reseed(42);
+  for (int i = 0; i < 5; ++i) normals.push_back(a.normal());
+  a.reseed(42);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(a.normal(), normals[static_cast<std::size_t>(i)]);
+  a.reseed(42);
+  a.discard_normal();
+  a.reseed(42);
+  EXPECT_EQ(a.normal(), normals[0]);
+}
+
+TEST(Rng, DiscardsMatchDrawing) {
+  // `skipping` discards where `drawing` draws and ignores the values;
+  // every value both later draw must agree.
+  const auto expect_same_future = [](Rng skipping, Rng drawing) {
+    for (int i = 0; i < 10000; ++i) {
+      if (i % 3 == 0) {
+        ASSERT_EQ(skipping.uniform(), drawing.uniform()) << "value " << i;
+      } else {
+        ASSERT_EQ(skipping.normal(), drawing.normal()) << "value " << i;
+      }
+    }
+  };
+
+  // A discarded pair leaves its second variate pending: the next normal
+  // computes it, from a copy too (the HACC replay checkpoints copies).
+  {
+    Rng skipping(7), drawing(7);
+    skipping.discard_normal();
+    drawing.normal();
+    skipping.discard(5); // draws leave the pending variate alone
+    for (int i = 0; i < 5; ++i) drawing.uniform();
+    const Rng checkpoint = skipping;
+    expect_same_future(checkpoint, drawing);
+    expect_same_future(skipping, drawing);
+  }
+
+  // Random interleavings of discards with draws.
+  Rng script(2024);
+  for (int trial = 0; trial < 50; ++trial) {
+    Rng skipping(1000 + static_cast<std::uint64_t>(trial));
+    Rng drawing = skipping;
+    for (int op = 0; op < 200; ++op) {
+      switch (script.uniform_index(4)) {
+        case 0: {
+          const std::uint64_t n = script.uniform_index(8);
+          skipping.discard(n);
+          for (std::uint64_t k = 0; k < n; ++k) drawing.next_u64();
+          break;
+        }
+        case 1:
+          skipping.discard_normal();
+          drawing.normal();
+          break;
+        case 2:
+          ASSERT_EQ(skipping.uniform(), drawing.uniform());
+          break;
+        default:
+          ASSERT_EQ(skipping.normal(), drawing.normal());
+          break;
+      }
+    }
+    expect_same_future(skipping, drawing);
+  }
 }
 
 TEST(Rng, UniformInHalfOpenUnitInterval) {

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 
+#include "core/artifact_cache.hpp"
 #include "data/point_set.hpp"
 #include "data/structured_grid.hpp"
 
@@ -50,6 +51,33 @@ TEST(Harness, ProduceShareMatchesGeneratorPartitioning) {
   }
   const auto full = Harness::produce_share(spec, 0, 1, 0);
   EXPECT_EQ(total, full->num_points());
+}
+
+TEST(Harness, InMemoryHaccGenerateScalesAsOneOverNodes) {
+  // Modelled generate must not depend on the produce mode: an in-memory
+  // HACC share is charged 1/P of its timestep's pass, as a disk-proxy
+  // load reads 1/P of the data. Charging each rank its whole pass (the
+  // stream is drawn in full for any slab) made the sum nearly flat in P.
+  const auto summed_generate = [](int nodes) {
+    ExperimentSpec spec = small_hacc();
+    spec.hacc.num_particles = 40000;
+    spec.layout.nodes = nodes;
+    double sum = 0;
+    for (const auto& phases : Harness().run(spec).rank_phase_cpu)
+      sum += phases.at("generate");
+    return sum;
+  };
+  ArtifactCache& cache = global_artifact_cache();
+  const bool was_enabled = cache.enabled();
+  for (const bool cache_on : {true, false}) {
+    cache.set_enabled(cache_on);
+    cache.clear();
+    const double at_4 = summed_generate(4);
+    const double at_64 = summed_generate(64);
+    EXPECT_GT(at_64, 0.0) << "cache " << cache_on;
+    EXPECT_LT(at_64, at_4 / 4) << "cache " << cache_on;
+  }
+  cache.set_enabled(was_enabled);
 }
 
 class HarnessCouplingTest : public ::testing::TestWithParam<cluster::Coupling> {};

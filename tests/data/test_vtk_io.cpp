@@ -97,6 +97,27 @@ TEST_F(VtkIoTest, TruncatedPayloadRejected) {
   EXPECT_THROW(read_dataset(path("trunc.eth")), Error);
 }
 
+TEST_F(VtkIoTest, OversizedBytesHeaderRejected) {
+  // A damaged `bytes N` line must be rejected before N sizes anything:
+  // 2^40 and 2^62 would otherwise throw std::bad_alloc, not eth::Error.
+  const PointSet ps(4);
+  write_dataset(ps, path("valid.eth"));
+  std::ifstream in(path("valid.eth"), std::ios::binary);
+  const std::string content((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  const auto line = content.find("bytes ");
+  const auto line_end = content.find('\n', line);
+  ASSERT_NE(line, std::string::npos);
+  for (const char* claimed : {"1099511627776", "4611686018427387904"}) {
+    std::string damaged = content;
+    damaged.replace(line, line_end - line, std::string("bytes ") + claimed);
+    std::ofstream out(path("oversized.eth"), std::ios::binary);
+    out << damaged;
+    out.close();
+    EXPECT_THROW(read_dataset(path("oversized.eth")), Error) << claimed;
+  }
+}
+
 TEST_F(VtkIoTest, HeaderPayloadKindMismatchRejected) {
   const PointSet ps(2);
   write_dataset(ps, path("tamper.eth"));

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 
+#include "common/fingerprint.hpp"
 #include "common/stats.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace eth::sim {
 namespace {
@@ -149,6 +152,261 @@ TEST(HaccGenerator, ExtractSlabEqualsDirectGeneration) {
       }
     }
   }
+}
+
+/// Routes the generator's block replay to a pool of `threads` workers.
+class ScopedPool {
+public:
+  explicit ScopedPool(unsigned threads) : pool_(threads) { set_global_pool(&pool_); }
+  ~ScopedPool() { set_global_pool(nullptr); }
+  ScopedPool(const ScopedPool&) = delete;
+  ScopedPool& operator=(const ScopedPool&) = delete;
+
+private:
+  ThreadPool pool_;
+};
+
+/// Point count, positions, id, velocity and speed of one slab. Empty
+/// arrays add no bytes (and their null data() never reaches memcpy).
+std::uint64_t slab_digest(const PointSet& ps) {
+  Fingerprinter fp;
+  fp.update_u64(static_cast<std::uint64_t>(ps.num_points()));
+  if (ps.num_points() == 0) return fp.digest();
+  fp.update(ps.positions().data(), ps.positions().size() * sizeof(Vec3f));
+  for (const char* name : {"id", "velocity", "speed"}) {
+    const std::span<const Real> values = ps.point_fields().get(name).values();
+    fp.update(values.data(), values.size() * sizeof(Real));
+  }
+  return fp.digest();
+}
+
+struct StreamGolden {
+  std::uint64_t seed;
+  Index timestep;
+  Index particles;
+  double background_fraction;
+  std::uint64_t digest[4]; ///< per parts in kGoldenParts
+};
+
+constexpr int kGoldenParts[] = {1, 3, 4, 64};
+
+// Chained slab_digest of generate_hacc_rank(p, r, parts) over r = 0..parts-1,
+// captured from the serial generator that replayed the whole stream per
+// rank (commit c8e07fd). The particle counts straddle the 8192-particle
+// replay block.
+constexpr StreamGolden kStreamGoldens[] = {
+    {1234ull, 0, 0, 0.00, {0xb234ec3bcaddaab8ull, 0x9457bfd2ab2826d4ull,
+                           0x1d8b2919bc3147aaull, 0xd3863c254c4ca1b3ull}},
+    {1234ull, 0, 0, 0.35, {0xb234ec3bcaddaab8ull, 0x9457bfd2ab2826d4ull,
+                           0x1d8b2919bc3147aaull, 0xd3863c254c4ca1b3ull}},
+    {1234ull, 0, 0, 1.00, {0xb234ec3bcaddaab8ull, 0x9457bfd2ab2826d4ull,
+                           0x1d8b2919bc3147aaull, 0xd3863c254c4ca1b3ull}},
+    {1234ull, 0, 1, 0.00, {0xe1bd6b472adfe30bull, 0x53ba54f96cda3dbfull,
+                           0x427aaee753f4a6fdull, 0x13e08cf85e393e77ull}},
+    {1234ull, 0, 1, 0.35, {0xe1bd6b472adfe30bull, 0x53ba54f96cda3dbfull,
+                           0x427aaee753f4a6fdull, 0x13e08cf85e393e77ull}},
+    {1234ull, 0, 1, 1.00, {0xf88072f812c0a652ull, 0xf7238f851db43c77ull,
+                           0x4d3baa482130cbebull, 0xb356c8bcd55d12e5ull}},
+    {1234ull, 0, 8191, 0.00, {0x82c11fff3aef1d21ull, 0xd55c0a6bc533586full,
+                              0xed3fa5533dab4153ull, 0x32f7689bf9812120ull}},
+    {1234ull, 0, 8191, 0.35, {0xaf5e213427e52ee5ull, 0x715cf1ded517c0a5ull,
+                              0x397a5ad3c5f737d8ull, 0xa94c5ad69b6c16beull}},
+    {1234ull, 0, 8191, 1.00, {0x07a37ebcae795fb0ull, 0xd3b52003758ba8baull,
+                              0x3a379ce247974983ull, 0xc0a4475755296310ull}},
+    {1234ull, 0, 8192, 0.00, {0x04ab411d4c9edff4ull, 0xd43218682591d355ull,
+                              0x87e3d4c24c72d4b2ull, 0x0592100219518c97ull}},
+    {1234ull, 0, 8192, 0.35, {0x7da363fa318f70adull, 0xb3fef55f0faae3ceull,
+                              0xf00eb381b0c98cd2ull, 0xa365f356435e456aull}},
+    {1234ull, 0, 8192, 1.00, {0x68f61ecc3984b279ull, 0x35a5edaef1b0ac41ull,
+                              0xba444a0319da2b99ull, 0x049534e103247acbull}},
+    {1234ull, 0, 8193, 0.00, {0x082f1f2db3d83847ull, 0xbca0d84a1609660full,
+                              0x1925b48dc83495c6ull, 0xf758ff9629d00920ull}},
+    {1234ull, 0, 8193, 0.35, {0x361a9edc6d4fdf16ull, 0x2bdc9ebbce7ce411ull,
+                              0x5aa3c14af1325a9bull, 0x98329b2a48716d5cull}},
+    {1234ull, 0, 8193, 1.00, {0x79d76a002082b993ull, 0x3fc33d16ca7f903dull,
+                              0x6e2d3b5019bfc32cull, 0x98ac1ff1cb4b742full}},
+    {1234ull, 0, 20000, 0.00, {0x7e31329682342703ull, 0x08d02907fe9c8ab3ull,
+                               0xc20cc7d31e389c77ull, 0xdb36a8fc470e1a4dull}},
+    {1234ull, 0, 20000, 0.35, {0x6781f3c364d9d5a7ull, 0x51ed90308950d254ull,
+                               0xa76f59666b5e2ee9ull, 0xd0795f9c5dfce305ull}},
+    {1234ull, 0, 20000, 1.00, {0x10d76305b1688115ull, 0x7375b88f5c165fd2ull,
+                               0xfd8683940f51ebeaull, 0x653f95c5260f0385ull}},
+    {1234ull, 3, 0, 0.00, {0xb234ec3bcaddaab8ull, 0x9457bfd2ab2826d4ull,
+                           0x1d8b2919bc3147aaull, 0xd3863c254c4ca1b3ull}},
+    {1234ull, 3, 0, 0.35, {0xb234ec3bcaddaab8ull, 0x9457bfd2ab2826d4ull,
+                           0x1d8b2919bc3147aaull, 0xd3863c254c4ca1b3ull}},
+    {1234ull, 3, 0, 1.00, {0xb234ec3bcaddaab8ull, 0x9457bfd2ab2826d4ull,
+                           0x1d8b2919bc3147aaull, 0xd3863c254c4ca1b3ull}},
+    {1234ull, 3, 1, 0.00, {0xd0a3d64c552525f7ull, 0xe73a15bab5c4b59aull,
+                           0xc7c8cffbb4e7cff5ull, 0x8296a7378a1d1c00ull}},
+    {1234ull, 3, 1, 0.35, {0xd0a3d64c552525f7ull, 0xe73a15bab5c4b59aull,
+                           0xc7c8cffbb4e7cff5ull, 0x8296a7378a1d1c00ull}},
+    {1234ull, 3, 1, 1.00, {0x0e3c4bffcd321b73ull, 0x1ba3181d4c9631d5ull,
+                           0x22cc4af06246f4efull, 0xa461ebb1c5f61573ull}},
+    {1234ull, 3, 8191, 0.00, {0xd0ca4050eb2623a0ull, 0x19259d1d6fc1d3d5ull,
+                              0x8a970aa5d2951828ull, 0x80ad88b83b96f03eull}},
+    {1234ull, 3, 8191, 0.35, {0x646edd715fee6d04ull, 0x36b19c8c5d8c3cdcull,
+                              0x47c9fb2116f9143dull, 0xe378024db6b9681full}},
+    {1234ull, 3, 8191, 1.00, {0x2a45908d74015208ull, 0x1d5fd5c43e721f79ull,
+                              0xa267f39f7961430eull, 0x85ee9d77f92c35acull}},
+    {1234ull, 3, 8192, 0.00, {0xedc5b49c2d5c9f87ull, 0x336e7c6c4c82e3d9ull,
+                              0x842bd527b83691a9ull, 0x95b1fd6a745c7427ull}},
+    {1234ull, 3, 8192, 0.35, {0x6b3ba6ba36595ab7ull, 0xf206f7b29e3de0bcull,
+                              0x68124fadd8fa95d1ull, 0x622efed2d285faadull}},
+    {1234ull, 3, 8192, 1.00, {0x2c34cc4f3bf77486ull, 0x707d294f39445016ull,
+                              0x39a9cbbc95d22536ull, 0x65795b4e94122764ull}},
+    {1234ull, 3, 8193, 0.00, {0x47a4f97bfd7d34f9ull, 0x35e35dd98c4fbbeaull,
+                              0x1c186cecb56690c0ull, 0x9a4cb94222a93fc8ull}},
+    {1234ull, 3, 8193, 0.35, {0xea4951b44d5068ceull, 0xaa82fc243f7f8739ull,
+                              0xcfec62f7fccb5ebdull, 0x9ba78ff546a244a1ull}},
+    {1234ull, 3, 8193, 1.00, {0xc7d7da39f7e7b869ull, 0x21a6e7b2f13ce715ull,
+                              0x0ef9e2f72462bfcbull, 0xcf967eb801717b86ull}},
+    {1234ull, 3, 20000, 0.00, {0xb4f2c54ed38c5dc2ull, 0x4e8816a6d93a0adbull,
+                               0x7aa34cd768b3ba1bull, 0x8c24cfab401dc79aull}},
+    {1234ull, 3, 20000, 0.35, {0x2c070a2356db6c7aull, 0x980d9acc0f301b90ull,
+                               0x2f506e9873089d6bull, 0x21172af9482b0521ull}},
+    {1234ull, 3, 20000, 1.00, {0xa6710655f2421455ull, 0xff0e15804fed8546ull,
+                               0x1b15d6ffc9396b86ull, 0x057b63ba80e1388cull}},
+    {99ull, 0, 0, 0.00, {0xb234ec3bcaddaab8ull, 0x9457bfd2ab2826d4ull,
+                         0x1d8b2919bc3147aaull, 0xd3863c254c4ca1b3ull}},
+    {99ull, 0, 0, 0.35, {0xb234ec3bcaddaab8ull, 0x9457bfd2ab2826d4ull,
+                         0x1d8b2919bc3147aaull, 0xd3863c254c4ca1b3ull}},
+    {99ull, 0, 0, 1.00, {0xb234ec3bcaddaab8ull, 0x9457bfd2ab2826d4ull,
+                         0x1d8b2919bc3147aaull, 0xd3863c254c4ca1b3ull}},
+    {99ull, 0, 1, 0.00, {0x3efaba090820486bull, 0x2e56f8156c14c953ull,
+                         0xc268ed9863d61854ull, 0x9541dc1d62f7d1acull}},
+    {99ull, 0, 1, 0.35, {0x3efaba090820486bull, 0x2e56f8156c14c953ull,
+                         0xc268ed9863d61854ull, 0x9541dc1d62f7d1acull}},
+    {99ull, 0, 1, 1.00, {0x9e9ed958aceb9af9ull, 0x8605cfa0c335f249ull,
+                         0x4c294d976445063dull, 0x1bdc5a93e7d57894ull}},
+    {99ull, 0, 8191, 0.00, {0xbed35ee6996a9aa0ull, 0x96c022f6a5ff7a47ull,
+                            0x9e09b18229cdbd05ull, 0xeeec115b0588b9e9ull}},
+    {99ull, 0, 8191, 0.35, {0x2cca4a0a81ad5f86ull, 0x41bb96b57ef19694ull,
+                            0x0a67f321a3cfe363ull, 0x98bbf43f859e6f5dull}},
+    {99ull, 0, 8191, 1.00, {0xe768eb193966a7a5ull, 0xec85822dd69ec27cull,
+                            0xd884a9e66dd798efull, 0x15eb940a917c8b30ull}},
+    {99ull, 0, 8192, 0.00, {0xc26e430bb135c186ull, 0x2d2fa8c243874d84ull,
+                            0xf101d4dfe5a73273ull, 0xa9f88feb23e3a73dull}},
+    {99ull, 0, 8192, 0.35, {0xf7df06186fa5e152ull, 0x0ef4aba688a584afull,
+                            0x6ee5a1e2b93a120bull, 0xddf11135f65034faull}},
+    {99ull, 0, 8192, 1.00, {0xd4a92ed85ac41351ull, 0xe293d35883ae93dfull,
+                            0x54955670e3102d38ull, 0x4df43024d1337111ull}},
+    {99ull, 0, 8193, 0.00, {0x7d43c46bc0f9bf53ull, 0x3896e152ab32a4b0ull,
+                            0x16e20efc7f7db811ull, 0x8aaf31e5f877fffcull}},
+    {99ull, 0, 8193, 0.35, {0x49e44c16fb71c16bull, 0x6eeb8610ca2a3d95ull,
+                            0xed242e23c1ae1125ull, 0xfd0281665383bc1dull}},
+    {99ull, 0, 8193, 1.00, {0x106871c94e18c60full, 0xbbe9a39a4505796dull,
+                            0x07a1b30cae69237full, 0x208b9372159c658eull}},
+    {99ull, 0, 20000, 0.00, {0xdd3363306f6d40e2ull, 0xb08b5630d738bf9bull,
+                             0xa8e49fd4da5a8f65ull, 0x350ad78778197491ull}},
+    {99ull, 0, 20000, 0.35, {0xc2bba94701fab3b3ull, 0xb466212c44b1ee98ull,
+                             0xf5f8a874d5d8dd06ull, 0xb180756d4024be28ull}},
+    {99ull, 0, 20000, 1.00, {0x32f78abfbc99e32full, 0xb4a1ef8c7ba90e79ull,
+                             0x82855c7c46260b7bull, 0x4396a12c5b24a1f8ull}},
+    {99ull, 3, 0, 0.00, {0xb234ec3bcaddaab8ull, 0x9457bfd2ab2826d4ull,
+                         0x1d8b2919bc3147aaull, 0xd3863c254c4ca1b3ull}},
+    {99ull, 3, 0, 0.35, {0xb234ec3bcaddaab8ull, 0x9457bfd2ab2826d4ull,
+                         0x1d8b2919bc3147aaull, 0xd3863c254c4ca1b3ull}},
+    {99ull, 3, 0, 1.00, {0xb234ec3bcaddaab8ull, 0x9457bfd2ab2826d4ull,
+                         0x1d8b2919bc3147aaull, 0xd3863c254c4ca1b3ull}},
+    {99ull, 3, 1, 0.00, {0x95b611f21c6e1323ull, 0x204f8c3e756543a0ull,
+                         0x6e080dc97f986e25ull, 0xe41c685fac63e405ull}},
+    {99ull, 3, 1, 0.35, {0xf618cd3730f58efaull, 0xf42fe23f0af8be02ull,
+                         0x729f670e432282e9ull, 0x566c7ac28ab28dc2ull}},
+    {99ull, 3, 1, 1.00, {0xf618cd3730f58efaull, 0xf42fe23f0af8be02ull,
+                         0x729f670e432282e9ull, 0x566c7ac28ab28dc2ull}},
+    {99ull, 3, 8191, 0.00, {0x1814bc3cecaf220eull, 0xaf4a66d85443362bull,
+                            0xdadc0e46bb668c37ull, 0x841c72a2cbb7831aull}},
+    {99ull, 3, 8191, 0.35, {0xc9bf5bdc35451d3cull, 0xa41e1fa94f1ccb03ull,
+                            0x752bcaa7e217bf06ull, 0xed001ab49afa7ba2ull}},
+    {99ull, 3, 8191, 1.00, {0x053e3b375005a927ull, 0x420a34fc598b45bfull,
+                            0x24a6cde297d063c7ull, 0xf085b99fabc2cf5cull}},
+    {99ull, 3, 8192, 0.00, {0x11ec23182c90a396ull, 0x77d4bd4f987f678dull,
+                            0x71f11cc3c90cf785ull, 0x7468f57f62b86355ull}},
+    {99ull, 3, 8192, 0.35, {0x84b795f493a63c91ull, 0x24f217b73e40d46dull,
+                            0x1ac1f794d47e4e63ull, 0x7a25171d826d262eull}},
+    {99ull, 3, 8192, 1.00, {0x677570624f12860dull, 0x48cde20d26f84865ull,
+                            0xf96c61e3e04fa0c8ull, 0xa0fe4e9ca616418eull}},
+    {99ull, 3, 8193, 0.00, {0x102ecaf9e8e50a78ull, 0xece70a803f9b32d0ull,
+                            0xba6eee7f4000e313ull, 0x3ca59960080ea314ull}},
+    {99ull, 3, 8193, 0.35, {0xa4bd15ba64d3f0d1ull, 0xc43d3ca1e72679ceull,
+                            0xfa6ca6b8b9b8639aull, 0xffe8f01eab143d73ull}},
+    {99ull, 3, 8193, 1.00, {0xdf69603229927f8dull, 0x03e731aab0b1a895ull,
+                            0x1e45c4ad750d2723ull, 0x26f1a8c26c1cf8d9ull}},
+    {99ull, 3, 20000, 0.00, {0xf76096980072a738ull, 0xde3130351279b067ull,
+                             0xf607ad3c7e03a9baull, 0x464eabe74ba80b70ull}},
+    {99ull, 3, 20000, 0.35, {0xc1439cc9d1a15804ull, 0x601c768c639201a2ull,
+                             0x34657246c28a8b43ull, 0xb2c50ef707eb0432ull}},
+    {99ull, 3, 20000, 1.00, {0xb1417a327ba156baull, 0x23ddc976672ab8a8ull,
+                             0x614cae356f87478dull, 0x0e14634dabc6cb18ull}},
+};
+
+HaccParams golden_params(const StreamGolden& g) {
+  HaccParams p;
+  p.seed = g.seed;
+  p.timestep = g.timestep;
+  p.num_particles = g.particles;
+  p.background_fraction = g.background_fraction;
+  return p;
+}
+
+TEST(HaccGenerator, MatchesParentStream) {
+  for (const unsigned threads : {1u, 4u}) {
+    const ScopedPool pool(threads);
+    for (const StreamGolden& g : kStreamGoldens) {
+      const HaccParams p = golden_params(g);
+      for (std::size_t k = 0; k < std::size(kGoldenParts); ++k) {
+        const int parts = kGoldenParts[k];
+        std::vector<int> all(static_cast<std::size_t>(parts));
+        std::iota(all.begin(), all.end(), 0);
+        Fingerprinter shared, per_rank;
+        const auto slabs = generate_hacc_shares(p, all, parts);
+        for (int r = 0; r < parts; ++r) {
+          shared.update_u64(slab_digest(*slabs[static_cast<std::size_t>(r)]));
+          // A pass per rank is slow at 64 parts, so only the shares are
+          // checked there; SharesMatchPerShareGeneration ties
+          // generate_hacc_rank to generate_hacc_shares.
+          if (parts <= 4)
+            per_rank.update_u64(slab_digest(*generate_hacc_rank(p, r, parts)));
+        }
+        const std::string where = "seed " + std::to_string(g.seed) + " t " +
+                                  std::to_string(g.timestep) + " n " +
+                                  std::to_string(g.particles) + " bg " +
+                                  std::to_string(g.background_fraction) + " parts " +
+                                  std::to_string(parts) + " threads " +
+                                  std::to_string(threads);
+        EXPECT_EQ(shared.digest(), g.digest[k]) << where;
+        if (parts <= 4) {
+          EXPECT_EQ(per_rank.digest(), g.digest[k]) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(HaccGenerator, SharesMatchPerShareGeneration) {
+  HaccParams p;
+  p.num_particles = 20000;
+  p.timestep = 1;
+  const ScopedPool pool(4);
+  // Unsorted, repeated (ranks > parts repeats shares), and a lone share.
+  const std::vector<std::vector<int>> lists = {{5, 0, 3}, {2, 2, 7, 0, 7}, {6}};
+  for (const std::vector<int>& shares : lists) {
+    const auto slabs = generate_hacc_shares(p, shares, 8);
+    ASSERT_EQ(slabs.size(), shares.size());
+    for (std::size_t k = 0; k < shares.size(); ++k) {
+      EXPECT_EQ(slab_digest(*slabs[k]), slab_digest(*generate_hacc_rank(p, shares[k], 8)))
+          << "share " << shares[k];
+      for (std::size_t j = 0; j < k; ++j)
+        if (shares[j] == shares[k]) {
+          EXPECT_EQ(slabs[j], slabs[k]) << "repeats alias";
+        }
+    }
+  }
+  EXPECT_TRUE(generate_hacc_shares(p, {}, 8).empty());
+  EXPECT_THROW(generate_hacc_shares(p, std::vector<int>{8}, 8), Error);
+  EXPECT_THROW(generate_hacc_shares(p, std::vector<int>{-1}, 8), Error);
+  EXPECT_THROW(generate_hacc_shares(p, std::vector<int>{0}, 0), Error);
 }
 
 TEST(HaccGenerator, ExtractSlabRejectsBadArguments) {

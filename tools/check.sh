@@ -157,7 +157,9 @@ rm -f "${async_json}"
 # so the lifetime contract — keepalives pin every borrowed span — is
 # exactly what ASan's use-after-free detection verifies. The Error and
 # FrameAllocation suites replace the global operator new, the xRAGE
-# generator writes its fields from pool workers, the compositor's rank-0
+# generator writes its fields and the HACC generator its replay blocks
+# from pool workers (the Rng checkpoints they start from and the dump
+# reader's header checks run here too), the compositor's rank-0
 # merge reads received partials in place, and the viz stage reuses one
 # frame per timestep and moves frames out of it (ImageBuffer,
 # VizFrameSink); all of them run here too.
@@ -170,7 +172,7 @@ asan_variant() {
   cmake --build "${dir}" -j "${jobs}"
   echo "==== test ${dir} (data + insitu + buffer suites) ===="
   ctest --test-dir "${dir}" --output-on-failure \
-    -R 'Buffer|CowArray|DataPlane|WireMessage|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset|Error|XrageGenerator|Compositor|ImageBuffer'
+    -R 'Buffer|CowArray|DataPlane|WireMessage|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset|Error|XrageGenerator|HaccGenerator|Rng|VtkIo|Compositor|ImageBuffer'
 }
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" asan_variant
 
