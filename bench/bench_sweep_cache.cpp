@@ -1,11 +1,14 @@
 // Sweep-wide memoization bench (DESIGN.md §10).
 //
 // Reruns the Figure-9 HACC sampling sweep three times against the
-// process-wide artifact cache: once disabled (the pre-cache baseline),
-// once cold (cache on, empty — pays the misses and fills it), and once
-// warm (every proxy load, sampled subset and BVH is a hit). The cached
-// producers are pure, so all three passes must render bit-identical
-// images; the wall-clock ratio off/warm is the memoization payoff.
+// process-wide artifact cache: once disabled (every proxy load, sampled
+// subset and BVH is recomputed; the first point writes the preliminary
+// dumps and later points reuse them through the dump registry, which
+// works with the cache off too), once cold (cache on, empty — pays the
+// misses and fills it), and once warm (every proxy load, sampled subset
+// and BVH is a hit). The cached producers are pure, so all three passes
+// must render bit-identical images; the wall-clock ratio off/warm is
+// the memoization payoff.
 //
 // Acceptance shape: warm sweep at least 2x faster than cache-off.
 

@@ -24,6 +24,14 @@
 // wall-clock optimization of the exploration loop, never a change to
 // the modelled machine.
 //
+// One produce path: every producer resolves through get_or_compute or
+// memoize() below, so this class is the only code that knows whether
+// memoization is on. A null cache, an unknown input (fingerprint 0)
+// and a disabled cache all compute through alike: the factory runs,
+// nothing is stored or counted, and the caller charges its recorded
+// cost as it charges a cached one. No caller gets another's result, so
+// with the cache off every rank spends the CPU it is charged.
+//
 // Thread model: one mutex guards everything; factories run OUTSIDE the
 // lock with an in-flight placeholder parked in the map, so concurrent
 // requests for one key compute it exactly once (waiters block on the
@@ -162,9 +170,7 @@ public:
       std::unique_lock<std::mutex> lock(mutex_);
       if (!enabled_) {
         lock.unlock();
-        CacheArtifact made = factory();
-        return {std::move(made.value), std::move(made.recorded), made.content_fp,
-                false};
+        return compute(factory);
       }
       for (;;) {
         auto it = map_.find(key);
@@ -250,7 +256,8 @@ public:
   // ---- dump registry: content-addressed proxy files. The harness's
   // preliminary dump phase registers each file it writes under the
   // content fingerprint of its payload; later sweep points that find a
-  // path registered (and still on disk) skip regenerating it.
+  // path registered (and still on disk) skip regenerating it. The
+  // registry works whether memoization is on or off.
   void register_dump(const std::string& path, std::uint64_t content_fp) {
     std::lock_guard<std::mutex> lock(mutex_);
     dumps_[path] = content_fp;
@@ -263,6 +270,15 @@ public:
   }
 
 private:
+  friend CacheLookup memoize(ArtifactCache* cache, const ArtifactKey& key,
+                             const Factory& factory);
+
+  /// Run `factory` with no cache in the way: no entry, no hit or miss.
+  static CacheLookup compute(const Factory& factory) {
+    CacheArtifact made = factory();
+    return {std::move(made.value), std::move(made.recorded), made.content_fp, false};
+  }
+
   struct Entry {
     CacheArtifact artifact;
     bool ready = false;
@@ -328,10 +344,19 @@ private:
   std::unordered_map<std::string, std::uint64_t> dumps_;
 };
 
+/// The memoized call of a producer that may have no cache or an unknown
+/// input: `cache`'s value for `key`, or, with no cache or `key.input_fp`
+/// 0, the factory's own output, exactly as a disabled cache returns it.
+inline CacheLookup memoize(ArtifactCache* cache, const ArtifactKey& key,
+                           const ArtifactCache::Factory& factory) {
+  if (cache == nullptr || key.input_fp == 0) return ArtifactCache::compute(factory);
+  return cache->get_or_compute(key, factory);
+}
+
 /// The process-wide cache the harness and sweeps share. Budget comes
 /// from ETH_CACHE_BYTES (default 512 MiB); ETH_CACHE_BYTES=0 disables
-/// memoization entirely (the escape hatch — every producer runs every
-/// time, exactly the pre-cache behavior).
+/// memoization: every lookup computes through, so each producer runs
+/// every time and is charged as it is with the cache on.
 ArtifactCache& global_artifact_cache();
 
 } // namespace eth

@@ -107,13 +107,13 @@ std::string cas_dump_case(std::uint64_t app_fp, int M, int parts) {
                        app_fp, strprintf("dump M=%d P=%d", M, parts))));
 }
 
-/// Cache key and factory of one rank's share: a load of its dump
-/// (`from_disk`) or an in-memory synthesis. The factory's measured cost
-/// and data-plane bytes are recorded with the artifact; the caller
-/// replays them on hit and miss alike so phase times and byte totals
-/// are identical cache-on vs cache-off. Demand loads and the read-ahead
-/// share this one factory. It holds `spec` by reference: run() joins
-/// every read-ahead before returning.
+/// Cache key and factory of one rank's share: a load of its dump (disk
+/// proxy) or an in-memory synthesis. The factory's measured cost and
+/// data-plane bytes are recorded with the artifact; the caller replays
+/// them on hit and miss alike so phase times and byte totals do not
+/// depend on the cache. Demand loads and the read-ahead share this one
+/// factory. It holds `spec` by reference: run() joins every read-ahead
+/// before returning.
 struct ShareArtifact {
   ArtifactKey key;
   ArtifactCache::Factory factory;
@@ -121,7 +121,8 @@ struct ShareArtifact {
 
 ShareArtifact share_artifact(const ExperimentSpec& spec, std::uint64_t app_fp,
                              const std::string& case_name, int share, int parts,
-                             Index t, int r, bool from_disk) {
+                             Index t, int r) {
+  const bool from_disk = spec.use_disk_proxy;
   const std::uint64_t file_fp = share_fingerprint(app_fp, share, parts, t);
   return {{file_fp, from_disk ? "proxy.load" : "produce_share"},
           [&spec, case_name, share, parts, t, r, from_disk, file_fp]() -> CacheArtifact {
@@ -141,28 +142,19 @@ ShareArtifact share_artifact(const ExperimentSpec& spec, std::uint64_t app_fp,
           }};
 }
 
-/// In-memory HACC synthesis: every share is a filtered view of one
-/// particle stream per timestep (sim::generate_hacc_shares).
-bool in_memory_hacc(const ExperimentSpec& spec) {
-  return spec.application == Application::kHacc && !spec.use_disk_proxy;
-}
-
-/// CPU charged to each in-memory HACC share: the pass draws the whole
-/// simulation's stream, which `parts` modelled nodes would share, so a
-/// share pays 1/parts of it whichever shares the pass made.
-double hacc_share_cpu(double pass_cpu, int parts) { return pass_cpu / parts; }
-
 /// Load (or synthesize) rank r's share of `parts` through the artifact
-/// cache. In-memory HACC resolves one entry per (data, timestep, parts,
-/// ranks) holding every rank's slab from one generate_hacc_shares pass:
-/// the first rank to ask runs it, the others wait and alias their slab.
+/// cache. In-memory HACC shares are filtered views of one particle
+/// stream per timestep (sim::generate_hacc_shares), so they resolve one
+/// entry per (data, timestep, parts, ranks) holding every rank's slab:
+/// the first rank to ask runs the pass, the others wait and alias their
+/// slab. With the cache off, each rank runs the pass and keeps its slab.
 CacheLookup cached_share(ArtifactCache& cache, const ExperimentSpec& spec,
                          std::uint64_t app_fp, const std::string& case_name, int parts,
                          Index t, int r, int M) {
   const int share = share_index(r, M, parts);
-  if (!in_memory_hacc(spec)) {
+  if (spec.application != Application::kHacc || spec.use_disk_proxy) {
     const ShareArtifact artifact =
-        share_artifact(spec, app_fp, case_name, share, parts, t, r, spec.use_disk_proxy);
+        share_artifact(spec, app_fp, case_name, share, parts, t, r);
     return cache.get_or_compute(artifact.key, artifact.factory);
   }
   using Slabs = std::vector<std::shared_ptr<const PointSet>>;
@@ -177,8 +169,11 @@ CacheLookup cached_share(ArtifactCache& cache, const ExperimentSpec& spec,
         for (int rank = 0; rank < M; ++rank) shares.push_back(share_index(rank, M, parts));
         auto slabs =
             std::make_shared<Slabs>(sim::generate_hacc_shares(params, shares, parts));
+        // The pass draws the whole simulation's stream, which `parts`
+        // modelled nodes would share, so a share pays 1/parts of it
+        // whichever shares the pass made.
         cluster::PerfCounters recorded;
-        recorded.phases.add("generate", hacc_share_cpu(timer.elapsed(), parts));
+        recorded.phases.add("generate", timer.elapsed() / parts);
         // Ranks with one share alias one slab; shares ascend with the
         // rank, so those ranks are adjacent.
         std::size_t bytes = 0;
@@ -245,11 +240,10 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
 
   // Sweep-wide memoization (DESIGN.md §10): proxy loads, filter
   // outputs and acceleration structures resolve through the artifact
-  // cache. ETH_CACHE_BYTES=0 disables it and reproduces the legacy
-  // behavior (including spec-named dump files) exactly.
+  // cache. With ETH_CACHE_BYTES=0 every lookup computes through, and
+  // the run takes the same path otherwise.
   ArtifactCache& cache = global_artifact_cache();
-  const bool cache_on = cache.enabled();
-  const std::uint64_t app_fp = cache_on ? app_fingerprint(spec) : 0;
+  const std::uint64_t app_fp = app_fingerprint(spec);
 
   // Per-run attribution (common/run_counters.hpp): every rank body of
   // THIS run installs a scope pointing at this sink, so the data-plane
@@ -262,18 +256,16 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
   // Figure 3's "preliminary run of the simulation": when the disk proxy
   // is active, the instrumented-simulation dump happens up front and is
   // NOT part of the measured in-situ loop; only the proxy's read is.
-  // With the cache on, dump files are content-addressed — named by the
-  // generator fingerprint instead of the sweep label — and files whose
-  // provenance the registry already proves on disk are not rewritten.
-  const std::string sim_case =
-      cache_on ? cas_dump_case(app_fp, M, P_sim) : spec.name + "_sim";
-  const std::string viz_case =
-      cache_on ? cas_dump_case(app_fp, M, P_viz) : spec.name + "_viz";
-  const bool want_viz_files = internode && P_sim != P_viz;
+  // Dump files are content-addressed — named by the generator
+  // fingerprint instead of the sweep label — and a file whose
+  // provenance the registry proves on disk is not rewritten.
+  const std::string sim_case = cas_dump_case(app_fp, M, P_sim);
+  const std::string viz_case = cas_dump_case(app_fp, M, P_viz);
+  const bool redistribute = internode && P_sim != P_viz;
   if (spec.use_disk_proxy) {
     // Concurrent runs with identical generator parameters resolve to
     // the SAME content-addressed dump files; two writers racing on one
-    // path would tear it (have_file() sees "missing" in both before
+    // path would tear it (the registry reads "missing" in both before
     // either finishes). One process-wide mutex serializes the whole
     // preliminary phase — it is explicitly outside the measured loop,
     // so serializing it costs wall clock only, never measurement.
@@ -281,69 +273,30 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
     const std::lock_guard<std::mutex> dump_lock(dump_phase_mutex);
     const sim::DumpWriter sim_writer(spec.proxy_dir, sim_case);
     const sim::DumpWriter viz_writer(spec.proxy_dir, viz_case);
-    const auto have_file = [&](const std::string& path, std::uint64_t fp) {
-      return cache_on && cache.lookup_dump(path).value_or(0) == fp &&
-             std::filesystem::exists(path);
-    };
     for (Index t = 0; t < spec.timesteps; ++t) {
-      if (spec.application == Application::kHacc) {
-        // Particle slabs are filtered views of one stream: generate the
-        // timestep once — and only when some slab is missing — then
-        // slice it per measured rank.
-        std::unique_ptr<DataSet> full;
-        const auto full_points = [&]() -> const PointSet& {
+      // Particle slabs are filtered views of one stream: generate the
+      // timestep once — and only when some slab is missing — then slice
+      // it per share. Grid blocks evaluate analytically per share.
+      std::unique_ptr<DataSet> full;
+      const auto write_share = [&](const sim::DumpWriter& writer, int parts, int r) {
+        const std::string path = sim::dump_path(writer.dir(), writer.case_name(), t, r);
+        const int share = share_index(r, M, parts);
+        const std::uint64_t fp = share_fingerprint(app_fp, share, parts, t);
+        if (cache.lookup_dump(path).value_or(0) == fp && std::filesystem::exists(path))
+          return;
+        if (spec.application == Application::kHacc) {
           if (!full) full = produce_share(spec, 0, 1, t);
-          return static_cast<const PointSet&>(*full);
-        };
-        for (int r = 0; r < M; ++r) {
-          const std::string sim_path =
-              sim::dump_path(spec.proxy_dir, sim_case, t, r);
-          const std::uint64_t sim_fp =
-              share_fingerprint(app_fp, share_index(r, M, P_sim), P_sim, t);
-          if (!have_file(sim_path, sim_fp)) {
-            sim_writer.write(sim::extract_hacc_slab(full_points(), spec.hacc.box_size,
-                                                    share_index(r, M, P_sim), P_sim),
-                             t, r);
-            if (cache_on) cache.register_dump(sim_path, sim_fp);
-          }
-          if (want_viz_files) {
-            const std::string viz_path =
-                sim::dump_path(spec.proxy_dir, viz_case, t, r);
-            const std::uint64_t viz_fp =
-                share_fingerprint(app_fp, share_index(r, M, P_viz), P_viz, t);
-            if (!have_file(viz_path, viz_fp)) {
-              viz_writer.write(
-                  sim::extract_hacc_slab(full_points(), spec.hacc.box_size,
-                                         share_index(r, M, P_viz), P_viz),
-                  t, r);
-              if (cache_on) cache.register_dump(viz_path, viz_fp);
-            }
-          }
+          writer.write(sim::extract_hacc_slab(static_cast<const PointSet&>(*full),
+                                              spec.hacc.box_size, share, parts),
+                       t, r);
+        } else {
+          writer.write(*produce_share(spec, share, parts, t), t, r);
         }
-      } else {
-        // Grid blocks evaluate analytically: direct per-share synthesis.
-        for (int r = 0; r < M; ++r) {
-          const std::string sim_path =
-              sim::dump_path(spec.proxy_dir, sim_case, t, r);
-          const std::uint64_t sim_fp =
-              share_fingerprint(app_fp, share_index(r, M, P_sim), P_sim, t);
-          if (!have_file(sim_path, sim_fp)) {
-            sim_writer.write(*produce_share(spec, share_index(r, M, P_sim), P_sim, t),
-                             t, r);
-            if (cache_on) cache.register_dump(sim_path, sim_fp);
-          }
-          if (want_viz_files) {
-            const std::string viz_path =
-                sim::dump_path(spec.proxy_dir, viz_case, t, r);
-            const std::uint64_t viz_fp =
-                share_fingerprint(app_fp, share_index(r, M, P_viz), P_viz, t);
-            if (!have_file(viz_path, viz_fp)) {
-              viz_writer.write(
-                  *produce_share(spec, share_index(r, M, P_viz), P_viz, t), t, r);
-              if (cache_on) cache.register_dump(viz_path, viz_fp);
-            }
-          }
-        }
+        cache.register_dump(path, fp);
+      };
+      for (int r = 0; r < M; ++r) {
+        write_share(sim_writer, P_sim, r);
+        if (redistribute) write_share(viz_writer, P_viz, r);
       }
     }
   }
@@ -429,57 +382,46 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
       return slots[static_cast<std::size_t>(t % pipeline_depth)];
     };
 
+    // Resolve this rank's share of `parts` through the artifact cache
+    // (with the cache on, each (timestep, rank) dump is read at most
+    // once per sweep) and charge the recorded first-load cost, on hit
+    // and miss alike.
+    const auto take_share = [&](TimestepSlot& slot, const std::string& case_name,
+                                int parts, Index t) {
+      const trace::Span span("sim.load");
+      const CacheLookup lookup = cached_share(cache, spec, app_fp, case_name, parts, t, r, M);
+      slot.sim_data = lookup.as<DataSet>();
+      slot.data_fp = lookup.content_fp;
+      slot.generate_cpu += lookup.recorded.phases.get("generate");
+      slot.replay_copied += lookup.recorded.bytes_copied;
+      slot.replay_borrowed += lookup.recorded.bytes_borrowed;
+    };
+
     // ---- stage "produce": the simulation proxy produces this modelled
     // node's share: a disk read of the preliminary dump ("reads the
     // simulation data into memory and presents it ... as if by the
     // simulation itself"), or an in-memory synthesis when no proxy dir
-    // is used. Cache on: the share resolves through the artifact cache
-    // (each (timestep, rank) dump is read at most once per sweep) and
-    // the recorded first-load cost is charged on hit and miss alike.
+    // is used.
     const auto produce_stage = [&](Index t) {
       TimestepSlot& slot = slot_for(t);
       slot = TimestepSlot{};
-      if (cache_on) {
-        const CacheLookup lookup = [&] {
-          const trace::Span span("sim.load");
-          return cached_share(cache, spec, app_fp, sim_case, P_sim, t, r, M);
-        }();
-        slot.sim_data = lookup.as<DataSet>();
-        slot.data_fp = lookup.content_fp;
-        slot.generate_cpu += lookup.recorded.phases.get("generate");
-        slot.replay_copied += lookup.recorded.bytes_copied;
-        slot.replay_borrowed += lookup.recorded.bytes_borrowed;
-        // Read-ahead: warm the NEXT timestep's share on the pool while
-        // this one renders. The task may outlive this iteration but not
-        // run(), which joins the group before returning.
-        if (spec.use_disk_proxy && t + 1 < spec.timesteps) {
-          prefetch_group.launch(global_pool(), [&cache,
-                                               next = share_artifact(
-                                                   spec, app_fp, sim_case,
-                                                   share_index(r, M, P_sim), P_sim,
-                                                   t + 1, r, true)]() {
-            try {
-              cache.prefetch(next.key, next.factory);
-            } catch (...) {
-              // Pool tasks must not throw; a failed read-ahead only
-              // means the demand path pays the load itself.
-            }
-          });
-        }
-      } else {
-        const trace::Span span("sim.load");
-        KernelTimer gen_timer;
-        if (spec.use_disk_proxy) {
-          const sim::SimulationProxy proxy(spec.proxy_dir, sim_case);
-          slot.sim_data = proxy.load(t, r);
-        } else {
-          slot.sim_data = produce_share(spec, share_index(r, M, P_sim), P_sim, t);
-        }
-        // Without the cache an in-memory HACC pass makes this rank's slab
-        // alone, and is charged as the shared pass would be.
-        slot.generate_cpu += in_memory_hacc(spec)
-                                 ? hacc_share_cpu(gen_timer.elapsed(), P_sim)
-                                 : gen_timer.elapsed();
+      take_share(slot, sim_case, P_sim, t);
+      // Read-ahead: warm the NEXT timestep's share on the pool while
+      // this one renders. The task may outlive this iteration but not
+      // run(), which joins the group before returning.
+      if (spec.use_disk_proxy && t + 1 < spec.timesteps) {
+        prefetch_group.launch(global_pool(), [&cache,
+                                             next = share_artifact(
+                                                 spec, app_fp, sim_case,
+                                                 share_index(r, M, P_sim), P_sim,
+                                                 t + 1, r)]() {
+          try {
+            cache.prefetch(next.key, next.factory);
+          } catch (...) {
+            // Pool tasks must not throw; a failed read-ahead only
+            // means the demand path pays the load itself.
+          }
+        });
       }
       slot.generate_items =
           Index(double(dataset_elements(*slot.sim_data)) * spec.data_scale);
@@ -509,23 +451,7 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
       // shares (1/P_viz each); the modelled exchange is charged by
       // the interconnect model, and here the receiving side
       // materializes its share directly.
-      if (internode && P_sim != P_viz) {
-        const trace::Span span("sim.load");
-        if (cache_on) {
-          const CacheLookup lookup =
-              cached_share(cache, spec, app_fp, viz_case, P_viz, t, r, M);
-          slot.sim_data = lookup.as<DataSet>();
-          slot.data_fp = lookup.content_fp;
-          slot.generate_cpu += lookup.recorded.phases.get("generate");
-          slot.replay_copied += lookup.recorded.bytes_copied;
-          slot.replay_borrowed += lookup.recorded.bytes_borrowed;
-        } else if (spec.use_disk_proxy) {
-          const sim::SimulationProxy proxy(spec.proxy_dir, viz_case);
-          slot.sim_data = proxy.load(t, r);
-        } else {
-          slot.sim_data = produce_share(spec, share_index(r, M, P_viz), P_viz, t);
-        }
-      }
+      if (redistribute) take_share(slot, viz_case, P_viz, t);
       ThreadCpuTimer xfer_timer;
       auto [sim_end, viz_end] = insitu::make_inproc_channel();
       if (spec.fault.any()) {
@@ -625,10 +551,8 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
 
       insitu::VizConfig rank_cfg = spec.viz;
       rank_cfg.timestep = t; // drives the per-timestep plane/iso phase
-      if (cache_on) {
-        rank_cfg.artifact_cache = &cache;
-        rank_cfg.input_fingerprint = slot.viz_fp;
-      }
+      rank_cfg.artifact_cache = &cache;
+      rank_cfg.input_fingerprint = slot.viz_fp;
       if (!rank_cfg.has_explicit_scalar_range()) {
         const std::string& field_name =
             insitu::is_particle_algorithm(rank_cfg.algorithm)

@@ -141,7 +141,7 @@ std::vector<SweepOutcome> run_sweep(
 ResultTable metrics_table(const std::string& label_column,
                           const std::vector<SweepOutcome>& outcomes) {
   ResultTable table({label_column, "time_s", "power_kW", "dyn_power_kW",
-                     "energy_MJ", "cache_hits", "cache_misses", "cache_bytes",
+                     "energy_kJ", "cache_hits", "cache_misses", "cache_bytes",
                      "prefetch_hits", "bytes_on_wire"});
   for (const SweepOutcome& o : outcomes) {
     table.begin_row();
@@ -149,7 +149,7 @@ ResultTable metrics_table(const std::string& label_column,
     table.add_cell(o.result.exec_seconds, "%.2f");
     table.add_cell(o.result.average_power / 1e3, "%.2f");
     table.add_cell(o.result.average_dynamic_power / 1e3, "%.2f");
-    table.add_cell(o.result.energy / 1e6, "%.3f");
+    table.add_cell(o.result.energy / 1e3, "%.3f");
     table.add_cell(o.result.counters.cache_hits);
     table.add_cell(o.result.counters.cache_misses);
     table.add_cell(Index(o.result.counters.cache_bytes));

@@ -64,14 +64,6 @@ Vec3f slice_normal(int s) {
   }
 }
 
-/// The active cache handle, or null when memoization cannot apply (no
-/// cache configured, cache disabled, or unknown input provenance).
-ArtifactCache* active_cache(const VizConfig& cfg) {
-  if (cfg.artifact_cache == nullptr || !cfg.artifact_cache->enabled()) return nullptr;
-  if (cfg.input_fingerprint == 0) return nullptr;
-  return cfg.artifact_cache;
-}
-
 /// The render loop of every algorithm: per image, ready `frame` (cleared
 /// to `background`, reallocated only when its size is wrong), let
 /// `render` draw the image's camera into it under the "render" timer,
@@ -108,7 +100,7 @@ VizRankOutput run_particle(const DataSet& data, const VizConfig& cfg,
   // Non-owning view of the caller's data; replaced by the sampler's
   // output when sampling is active (avoids cloning multi-GB inputs).
   std::shared_ptr<const DataSet> working(std::shared_ptr<const DataSet>(), &data);
-  ArtifactCache* cache = active_cache(cfg);
+  ArtifactCache* cache = cfg.artifact_cache;
   std::uint64_t working_fp = cfg.input_fingerprint;
   if (cfg.sampling_ratio < 1.0) {
     SpatialSampler sampler(cfg.sampling_ratio, cfg.sampling_mode, cfg.sampling_seed);
@@ -142,24 +134,19 @@ VizRankOutput run_particle(const DataSet& data, const VizConfig& cfg,
   if (cfg.algorithm == VizAlgorithm::kRaycastSpheres) {
     // The O(N log N) setup phase, once per timestep — and, with the
     // cache, once per (dataset, geometry options) across the sweep.
-    if (cache != nullptr && working_fp != 0) {
-      const std::string signature =
-          strprintf("sphere_bvh r=%a split=%d leaf=%d", double(ray_opts.world_radius),
-                    static_cast<int>(ray_opts.split), ray_opts.max_leaf_size);
-      const CacheLookup lookup = cache->get_or_compute(
-          {working_fp, signature}, [&]() -> CacheArtifact {
-            cluster::PerfCounters fresh;
-            std::shared_ptr<const SphereAccel> accel =
-                RaycastRenderer::build_sphere_accel(points, ray_opts, fresh);
-            return CacheArtifact{accel, static_cast<std::size_t>(accel->byte_size()),
-                                 std::move(fresh),
-                                 fingerprint_chain(working_fp, signature)};
-          });
-      raycaster.adopt_spheres(lookup.as<SphereAccel>());
-      out.counters.merge(lookup.recorded); // carries "build" (hit and miss)
-    } else {
-      raycaster.build_spheres(points, ray_opts, out.counters);
-    }
+    const std::string signature =
+        strprintf("sphere_bvh r=%a split=%d leaf=%d", double(ray_opts.world_radius),
+                  static_cast<int>(ray_opts.split), ray_opts.max_leaf_size);
+    const CacheLookup lookup =
+        memoize(cache, {working_fp, signature}, [&]() -> CacheArtifact {
+          cluster::PerfCounters fresh;
+          std::shared_ptr<const SphereAccel> accel =
+              RaycastRenderer::build_sphere_accel(points, ray_opts, fresh);
+          return CacheArtifact{accel, static_cast<std::size_t>(accel->byte_size()),
+                               std::move(fresh), fingerprint_chain(working_fp, signature)};
+        });
+    raycaster.adopt_spheres(lookup.as<SphereAccel>());
+    out.counters.merge(lookup.recorded); // carries "build" (hit and miss)
   }
 
   RasterRenderer raster;
@@ -202,7 +189,7 @@ VizRankOutput run_volume(const DataSet& data, const VizConfig& cfg,
   // Non-owning view of the caller's data; replaced by the sampler's
   // output when sampling is active (avoids cloning multi-GB inputs).
   std::shared_ptr<const DataSet> working(std::shared_ptr<const DataSet>(), &data);
-  ArtifactCache* cache = active_cache(cfg);
+  ArtifactCache* cache = cfg.artifact_cache;
   std::uint64_t working_fp = cfg.input_fingerprint;
   if (cfg.sampling_ratio < 1.0) {
     SpatialSampler sampler(cfg.sampling_ratio, cfg.sampling_mode, cfg.sampling_seed);
@@ -260,24 +247,19 @@ VizRankOutput run_volume(const DataSet& data, const VizConfig& cfg,
     }
   } else if (cfg.algorithm == VizAlgorithm::kRaycastVolume) {
     if (cfg.volume_acceleration) {
-      if (cache != nullptr && working_fp != 0) {
-        const std::string signature =
-            strprintf("minmax field=%s cells=4", cfg.volume_field.c_str());
-        const CacheLookup lookup = cache->get_or_compute(
-            {working_fp, signature}, [&]() -> CacheArtifact {
-              cluster::PerfCounters fresh;
-              std::shared_ptr<const MinMaxGrid> minmax =
-                  RaycastRenderer::build_volume_accel(grid, cfg.volume_field, fresh);
-              return CacheArtifact{minmax,
-                                   static_cast<std::size_t>(minmax->byte_size()),
-                                   std::move(fresh),
-                                   fingerprint_chain(working_fp, signature)};
-            });
-        raycaster.adopt_volume(lookup.as<MinMaxGrid>());
-        out.counters.merge(lookup.recorded); // carries "build" (hit and miss)
-      } else {
-        raycaster.build_volume(grid, cfg.volume_field, out.counters); // "build"
-      }
+      const std::string signature =
+          strprintf("minmax field=%s cells=4", cfg.volume_field.c_str());
+      const CacheLookup lookup =
+          memoize(cache, {working_fp, signature}, [&]() -> CacheArtifact {
+            cluster::PerfCounters fresh;
+            std::shared_ptr<const MinMaxGrid> minmax =
+                RaycastRenderer::build_volume_accel(grid, cfg.volume_field, fresh);
+            return CacheArtifact{minmax, static_cast<std::size_t>(minmax->byte_size()),
+                                 std::move(fresh),
+                                 fingerprint_chain(working_fp, signature)};
+          });
+      raycaster.adopt_volume(lookup.as<MinMaxGrid>());
+      out.counters.merge(lookup.recorded); // carries "build" (hit and miss)
     }
   } else if (cfg.algorithm != VizAlgorithm::kRaycastDvr) {
     fail("run_volume: not a volume algorithm");

@@ -102,7 +102,7 @@ struct VizConfig {
   /// Sweep-wide artifact cache (DESIGN.md §10). When set together with a
   /// non-zero `input_fingerprint`, sampling outputs, extracted geometry
   /// and renderer acceleration structures are resolved through the
-  /// cache; null reproduces the uncached behavior exactly.
+  /// cache; with neither, every artifact computes through.
   ArtifactCache* artifact_cache = nullptr;
   /// Content fingerprint of `data` as handed to run_viz_rank (the
   /// provenance root for every derived artifact's cache key).

@@ -43,44 +43,31 @@ std::shared_ptr<const DataSet> Algorithm::update() {
     require(input != nullptr, "Algorithm::update: filter has no input connected");
 
   if (dirty_) {
-    const std::string signature =
-        (cache_ != nullptr && input_fp_ != 0) ? cache_signature() : std::string();
-    if (!signature.empty() && cache_->enabled()) {
-      // Memoized path: resolve through the cache; concurrent ranks
-      // asking for the same artifact compute it exactly once. The
-      // factory's measured counters are stored with the artifact and
-      // merged below on hit and miss alike (the accounting rule).
-      const ArtifactKey key{input_fp_, signature};
-      const CacheLookup lookup = cache_->get_or_compute(key, [&]() -> CacheArtifact {
-        // KernelTimer: filters fan their loops out over the thread
-        // pool; worker-executed chunks are still charged here.
-        const trace::Span span(trace_name());
-        KernelTimer timer;
-        cluster::PerfCounters fresh;
-        std::unique_ptr<DataSet> produced = execute(input.get(), fresh);
-        require(produced != nullptr, "Algorithm::execute returned null output");
-        fresh.phases.add(phase_name(), timer.elapsed());
-        std::shared_ptr<const DataSet> value = std::move(produced);
-        const std::size_t bytes = static_cast<std::size_t>(value->byte_size());
-        return CacheArtifact{value, bytes, std::move(fresh),
-                             fingerprint_chain(input_fp_, signature)};
-      });
-      output_ = lookup.as<DataSet>();
-      output_fp_ = lookup.content_fp;
-      counters_.merge(lookup.recorded);
-    } else {
-      // KernelTimer: filters fan their cell/point loops out over the
-      // thread pool; worker-executed chunks must still be charged to
-      // this rank's phase.
+    // Resolve through the cache: concurrent ranks asking for the same
+    // artifact compute it exactly once. The factory's measured counters
+    // are merged below on hit and miss alike (the accounting rule). An
+    // unknown input or an empty signature leaves the output's identity
+    // unknown, and memoize() computes through.
+    const std::string signature = input_fp_ != 0 ? cache_signature() : std::string();
+    const ArtifactKey key{signature.empty() ? 0 : input_fp_, signature};
+    const CacheLookup lookup = memoize(cache_, key, [&]() -> CacheArtifact {
+      // KernelTimer: filters fan their loops out over the thread pool;
+      // worker-executed chunks are still charged here.
       const trace::Span span(trace_name());
       KernelTimer timer;
-      output_ = execute(input.get(), counters_);
-      require(output_ != nullptr, "Algorithm::execute returned null output");
-      counters_.phases.add(phase_name(), timer.elapsed());
-      output_fp_ = (input_fp_ != 0 && !signature.empty())
-                       ? fingerprint_chain(input_fp_, signature)
-                       : 0;
-    }
+      cluster::PerfCounters fresh;
+      std::unique_ptr<DataSet> produced = execute(input.get(), fresh);
+      require(produced != nullptr, "Algorithm::execute returned null output");
+      fresh.phases.add(phase_name(), timer.elapsed());
+      std::shared_ptr<const DataSet> value = std::move(produced);
+      const std::size_t bytes = static_cast<std::size_t>(value->byte_size());
+      return CacheArtifact{value, bytes, std::move(fresh),
+                           key.input_fp != 0 ? fingerprint_chain(key.input_fp, signature)
+                                             : 0};
+    });
+    output_ = lookup.as<DataSet>();
+    output_fp_ = lookup.content_fp;
+    counters_.merge(lookup.recorded);
     dirty_ = false;
   }
   return output_;

@@ -48,9 +48,10 @@ public:
   /// implement cache_signature() then resolve (input fingerprint,
   /// signature) through the cache instead of re-executing; on a hit
   /// the recorded first-execution counters are replayed into
-  /// counters(), so accounting is identical either way. A null cache,
-  /// a zero fingerprint, or an empty signature all mean "memoization
-  /// off" — the legacy execute path, byte-for-byte unchanged.
+  /// counters(), so accounting is identical either way. A null or
+  /// disabled cache, a zero fingerprint, or an empty signature all
+  /// compute through memoize() (core/artifact_cache.hpp): execute()
+  /// runs every time and nothing is stored.
   void set_cache(ArtifactCache* cache, std::uint64_t input_fingerprint) {
     cache_ = cache;
     input_fp_ = input_fingerprint;

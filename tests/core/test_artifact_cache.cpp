@@ -129,6 +129,74 @@ TEST(ArtifactCache, DisabledIsPurePassThrough) {
   EXPECT_EQ(stats.insertions, 0);
 }
 
+// memoize() is the one call every producer makes; only the cache
+// decides whether it memoizes.
+TEST(ArtifactCache, MemoizeNullCacheComputesEveryCall) {
+  std::atomic<int> runs{0};
+  for (int i = 0; i < 2; ++i) {
+    const CacheLookup lookup = memoize(nullptr, {1, "op"}, int_factory(3, 100, &runs));
+    EXPECT_FALSE(lookup.hit);
+    EXPECT_EQ(*lookup.as<int>(), 3);
+    EXPECT_EQ(lookup.content_fp, fingerprint_chain(std::uint64_t(3), "int"));
+  }
+  EXPECT_EQ(runs.load(), 2);
+}
+
+TEST(ArtifactCache, MemoizeZeroInputFingerprintComputesEveryCall) {
+  ArtifactCache cache(1 << 20);
+  std::atomic<int> runs{0};
+  (void)memoize(&cache, {0, "op"}, int_factory(3, 100, &runs));
+  (void)memoize(&cache, {0, "op"}, int_factory(3, 100, &runs));
+  EXPECT_EQ(runs.load(), 2);
+  EXPECT_FALSE(cache.contains({0, "op"}));
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 0);
+  EXPECT_EQ(stats.misses, 0);
+  EXPECT_EQ(stats.insertions, 0);
+}
+
+TEST(ArtifactCache, MemoizeDisabledCacheComputesEveryCall) {
+  ArtifactCache cache(1 << 20);
+  cache.set_enabled(false);
+  std::atomic<int> runs{0};
+  (void)memoize(&cache, {1, "op"}, int_factory(3, 100, &runs));
+  const CacheLookup second = memoize(&cache, {1, "op"}, int_factory(4, 100, &runs));
+  EXPECT_FALSE(second.hit);
+  EXPECT_EQ(*second.as<int>(), 4);
+  EXPECT_EQ(runs.load(), 2);
+  EXPECT_FALSE(cache.contains({1, "op"}));
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 0);
+  EXPECT_EQ(stats.misses, 0);
+  EXPECT_EQ(stats.insertions, 0);
+}
+
+TEST(ArtifactCache, MemoizeEnabledCacheComputesOnce) {
+  ArtifactCache cache(1 << 20);
+  std::atomic<int> runs{0};
+  const CacheLookup first = memoize(&cache, {1, "op"}, int_factory(3, 100, &runs));
+  const CacheLookup second = memoize(&cache, {1, "op"}, int_factory(4, 100, &runs));
+  EXPECT_FALSE(first.hit);
+  EXPECT_TRUE(second.hit);
+  EXPECT_EQ(*second.as<int>(), 3);
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_EQ(cache.stats().hits, 1);
+}
+
+TEST(ArtifactCache, MemoizeThrowingFactoryPropagatesAndKeyStaysComputable) {
+  const auto throwing = []() -> CacheArtifact { throw std::runtime_error("x"); };
+  EXPECT_THROW(memoize(nullptr, {1, "op"}, throwing), std::runtime_error);
+  ArtifactCache cache(1 << 20);
+  for (const bool enabled : {false, true}) {
+    cache.set_enabled(enabled);
+    EXPECT_THROW(memoize(&cache, {1, "op"}, throwing), std::runtime_error) << enabled;
+    EXPECT_FALSE(cache.contains({1, "op"})) << enabled;
+    EXPECT_EQ(*memoize(&cache, {1, "op"}, int_factory(5, 10)).as<int>(), 5) << enabled;
+  }
+  EXPECT_TRUE(cache.contains({1, "op"}));
+}
+
 TEST(ArtifactCache, PrefetchWarmsAndFirstDemandHitCountsPrefetchHit) {
   ArtifactCache cache(1 << 20);
   const ArtifactKey key{5, "op"};

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "cache_state_guard.hpp"
 #include "common/string_util.hpp"
 #include "core/artifact_cache.hpp"
 #include "core/harness.hpp"
@@ -20,20 +21,6 @@
 
 namespace eth {
 namespace {
-
-/// Restores the global cache's enabled flag and empties it afterwards,
-/// so these tests cannot leak state into the rest of the suite.
-class CacheStateGuard {
-public:
-  CacheStateGuard() : was_enabled_(global_artifact_cache().enabled()) {}
-  ~CacheStateGuard() {
-    global_artifact_cache().set_enabled(was_enabled_);
-    global_artifact_cache().clear();
-  }
-
-private:
-  bool was_enabled_;
-};
 
 ExperimentSpec hacc_base() {
   ExperimentSpec spec;
@@ -64,6 +51,17 @@ ExperimentSpec xrage_base(insitu::VizAlgorithm algorithm) {
   spec.timesteps = 2;
   spec.layout.nodes = 2;
   spec.layout.ranks = 2;
+  return spec;
+}
+
+/// `spec` redistributed between partitions: internode coupling with
+/// fewer viz nodes than sim nodes, so the couple stage materializes a
+/// second share per rank (and, through the disk proxy, a second dump).
+ExperimentSpec redistributed(ExperimentSpec spec) {
+  spec.name += "-internode";
+  spec.layout.coupling = cluster::Coupling::kInternode;
+  spec.layout.nodes = 6;
+  spec.layout.viz_nodes = 2;
   return spec;
 }
 
@@ -177,6 +175,15 @@ TEST(CacheEquivalence, XrageGeometrySweep) {
 
 TEST(CacheEquivalence, XrageRaycastVolumeSweepWithDiskProxy) {
   expect_equivalence(xrage_base(insitu::VizAlgorithm::kRaycastVolume),
+                     /*with_disk_proxy=*/true);
+}
+
+TEST(CacheEquivalence, HaccInternodeSweepInMemory) {
+  expect_equivalence(redistributed(hacc_base()), /*with_disk_proxy=*/false);
+}
+
+TEST(CacheEquivalence, XrageInternodeSweepWithDiskProxy) {
+  expect_equivalence(redistributed(xrage_base(insitu::VizAlgorithm::kRaycastVolume)),
                      /*with_disk_proxy=*/true);
 }
 

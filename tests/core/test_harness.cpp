@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 
+#include "cache_state_guard.hpp"
 #include "core/artifact_cache.hpp"
 #include "data/point_set.hpp"
 #include "data/structured_grid.hpp"
@@ -53,31 +55,118 @@ TEST(Harness, ProduceShareMatchesGeneratorPartitioning) {
   EXPECT_EQ(total, full->num_points());
 }
 
+/// Modelled generate CPU summed over the run's ranks.
+double summed_generate(const RunResult& result) {
+  double sum = 0;
+  for (const auto& phases : result.rank_phase_cpu) sum += phases.at("generate");
+  return sum;
+}
+
 TEST(Harness, InMemoryHaccGenerateScalesAsOneOverNodes) {
   // Modelled generate must not depend on the produce mode: an in-memory
   // HACC share is charged 1/P of its timestep's pass, as a disk-proxy
   // load reads 1/P of the data. Charging each rank its whole pass (the
   // stream is drawn in full for any slab) made the sum nearly flat in P.
-  const auto summed_generate = [](int nodes) {
+  const auto generate_at = [](int nodes) {
     ExperimentSpec spec = small_hacc();
     spec.hacc.num_particles = 40000;
     spec.layout.nodes = nodes;
-    double sum = 0;
-    for (const auto& phases : Harness().run(spec).rank_phase_cpu)
-      sum += phases.at("generate");
-    return sum;
+    return summed_generate(Harness().run(spec));
   };
+  CacheStateGuard guard;
   ArtifactCache& cache = global_artifact_cache();
-  const bool was_enabled = cache.enabled();
   for (const bool cache_on : {true, false}) {
     cache.set_enabled(cache_on);
     cache.clear();
-    const double at_4 = summed_generate(4);
-    const double at_64 = summed_generate(64);
+    const double at_4 = generate_at(4);
+    const double at_64 = generate_at(64);
     EXPECT_GT(at_64, 0.0) << "cache " << cache_on;
     EXPECT_LT(at_64, at_4 / 4) << "cache " << cache_on;
   }
-  cache.set_enabled(was_enabled);
+}
+
+TEST(Harness, CacheOffChargesGenerateLikeCacheOn) {
+  // The cache is a wall-clock optimization of the exploration loop, not
+  // a change to the modelled machine: with it off, each share runs the
+  // factory a cold cache runs and is charged the same. That covers the
+  // in-memory HACC pass, which makes every rank's slab, and the viz
+  // share the internode redistribution materializes.
+  ExperimentSpec hacc = small_hacc(cluster::Coupling::kIntercore);
+  hacc.name = "harness-generate-hacc";
+  hacc.hacc.num_particles = 40000;
+  hacc.timesteps = 2;
+
+  ExperimentSpec xrage;
+  xrage.name = "harness-generate-xrage";
+  xrage.application = Application::kXrage;
+  xrage.xrage.dims = {48, 40, 32};
+  xrage.viz.algorithm = insitu::VizAlgorithm::kRaycastVolume;
+  xrage.viz.image_width = 16;
+  xrage.viz.image_height = 16;
+  xrage.viz.images_per_timestep = 1;
+  xrage.timesteps = 2;
+  xrage.layout.coupling = cluster::Coupling::kInternode;
+  xrage.layout.nodes = 64;
+  xrage.layout.viz_nodes = 16;
+  xrage.layout.ranks = 4;
+
+  CacheStateGuard guard;
+  ArtifactCache& cache = global_artifact_cache();
+  const Harness harness;
+  for (const ExperimentSpec& spec : {hacc, xrage}) {
+    (void)harness.run(spec); // warm-up: first-touch costs land in neither sum
+    // Alternate the settings so host noise lands on both sums alike.
+    double off = 0;
+    double on = 0;
+    for (int round = 0; round < 3; ++round) {
+      cache.set_enabled(false);
+      off += summed_generate(harness.run(spec));
+      cache.set_enabled(true);
+      cache.clear();
+      on += summed_generate(harness.run(spec));
+    }
+    ASSERT_GT(on, 0.0) << spec.name;
+    EXPECT_GE(off / on, 0.8) << spec.name;
+    EXPECT_LE(off / on, 1.25) << spec.name;
+  }
+}
+
+TEST(Harness, CacheOffRewritesNoDump) {
+  // One dump rule whatever the cache setting: files are named by their
+  // content, and a file the registry proves on disk is not rewritten, so
+  // a later run never writes a file another run may be reading.
+  CacheStateGuard guard;
+  global_artifact_cache().set_enabled(false);
+  global_artifact_cache().clear();
+  ExperimentSpec spec = small_hacc(cluster::Coupling::kInternode);
+  spec.layout.viz_nodes = 1; // 3 sim nodes -> 1 viz node: both dump cases
+  spec.timesteps = 2;
+  spec.use_disk_proxy = true;
+  spec.proxy_dir =
+      (std::filesystem::temp_directory_path() / "eth_harness_dump_once").string();
+  std::filesystem::remove_all(spec.proxy_dir);
+
+  const Harness harness;
+  (void)harness.run(spec);
+  // Backdate every file, so a rewrite shows at any clock granularity.
+  const auto backdated =
+      std::filesystem::file_time_type::clock::now() - std::chrono::hours(1);
+  std::size_t written = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(spec.proxy_dir)) {
+    std::filesystem::last_write_time(entry.path(), backdated);
+    ++written;
+  }
+  EXPECT_EQ(written, std::size_t(2 * spec.timesteps * spec.layout.ranks));
+
+  (void)harness.run(spec);
+  std::size_t found = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(spec.proxy_dir)) {
+    ++found;
+    EXPECT_EQ(entry.path().filename().string().rfind("cas", 0), 0u) << entry.path();
+    EXPECT_EQ(std::filesystem::last_write_time(entry.path()), backdated) << entry.path();
+  }
+  EXPECT_EQ(found, written);
+  std::filesystem::remove_all(spec.proxy_dir);
 }
 
 class HarnessCouplingTest : public ::testing::TestWithParam<cluster::Coupling> {};

@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "cache_state_guard.hpp"
 #include "common/error.hpp"
 #include "common/trace.hpp"
 #include "core/artifact_cache.hpp"
@@ -43,18 +44,6 @@ public:
   ~ScopedSweepWorkers() { set_sweep_worker_override(0); }
   ScopedSweepWorkers(const ScopedSweepWorkers&) = delete;
   ScopedSweepWorkers& operator=(const ScopedSweepWorkers&) = delete;
-};
-
-class CacheStateGuard {
-public:
-  CacheStateGuard() : was_enabled_(global_artifact_cache().enabled()) {}
-  ~CacheStateGuard() {
-    global_artifact_cache().set_enabled(was_enabled_);
-    global_artifact_cache().clear();
-  }
-
-private:
-  bool was_enabled_;
 };
 
 class TraceStateGuard {

@@ -176,7 +176,7 @@ TEST(TableGolden, MetricsTableColumns) {
   const std::vector<SweepOutcome> outcomes;
   const ResultTable table = metrics_table("ratio", outcomes);
   const std::vector<std::string> expected{
-      "ratio",      "time_s",       "power_kW",    "dyn_power_kW", "energy_MJ",
+      "ratio",      "time_s",       "power_kW",    "dyn_power_kW", "energy_kJ",
       "cache_hits", "cache_misses", "cache_bytes", "prefetch_hits",
       "bytes_on_wire"};
   EXPECT_EQ(table.columns(), expected);
