@@ -271,6 +271,8 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
     // so serializing it costs wall clock only, never measurement.
     static std::mutex dump_phase_mutex;
     const std::lock_guard<std::mutex> dump_lock(dump_phase_mutex);
+    const trace::TrackScope track_scope(ctx.trace_track_base);
+    const trace::Span span("sim.dump");
     const sim::DumpWriter sim_writer(spec.proxy_dir, sim_case);
     const sim::DumpWriter viz_writer(spec.proxy_dir, viz_case);
     for (Index t = 0; t < spec.timesteps; ++t) {

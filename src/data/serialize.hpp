@@ -123,8 +123,9 @@ private:
 
 template <typename T>
 ArrayChunk<T> WireReader::get_array(std::size_t count) {
+  // Compare before multiplying: a damaged count must not wrap.
+  require(count <= remaining() / sizeof(T), "WireReader: truncated input (array)");
   const std::size_t nbytes = count * sizeof(T);
-  require(remaining() >= nbytes, "WireReader: truncated input (array)");
   ArrayChunk<T> chunk;
   if (nbytes > 0) {
     const WireMessage::Segment& seg = segments_[seg_];

@@ -43,11 +43,6 @@ std::unique_ptr<StructuredGrid> generate_xrage(const XrageParams& params);
 std::unique_ptr<StructuredGrid> generate_xrage_block(const XrageParams& params,
                                                      Vec3i lo, Vec3i hi);
 
-/// Generate rank's z-slab (with one plane of overlap toward higher z so
-/// extracted surfaces are crack-free across ranks).
-std::unique_ptr<StructuredGrid> generate_xrage_rank(const XrageParams& params, int rank,
-                                                    int ranks);
-
 /// Near-cubic factorization of `parts` into per-axis block counts for
 /// `dims`, largest factor on the longest axis. Every block keeps >= 2
 /// points per axis; throws when impossible.

@@ -18,6 +18,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "core/harness.hpp"
 #include "core/sweep.hpp"
 #include "data/point_set.hpp"
 #include "insitu/socket_transport.hpp"
@@ -256,6 +257,39 @@ TEST(Trace, SocketCoupledExchangeTracesEveryTransportPhase) {
                             "transport.send", "transport.recv", "deserialize"})
     EXPECT_GT(names.count(phase), 0u) << "missing phase " << phase;
   std::filesystem::remove_all(dir);
+}
+
+// The preliminary dump (paper Figure 3) is a disk-proxy run's largest
+// serial phase before its first timestep; its span makes it visible in
+// a trace. An in-memory run has no dump phase and no span.
+TEST(Trace, DiskProxyRunTracesTheDumpPhase) {
+  TraceStateGuard guard(true);
+  ExperimentSpec spec;
+  spec.name = "trace-dump";
+  spec.application = Application::kXrage;
+  spec.xrage.dims = {16, 12, 10};
+  spec.viz.algorithm = insitu::VizAlgorithm::kRaycastVolume;
+  spec.viz.image_width = 16;
+  spec.viz.image_height = 16;
+  spec.viz.images_per_timestep = 1;
+  spec.timesteps = 2;
+  spec.layout.nodes = 2;
+  spec.layout.ranks = 2;
+  spec.proxy_dir = (std::filesystem::temp_directory_path() /
+                    ("eth_trace_dump_" + std::to_string(::getpid())))
+                       .string();
+  const Harness harness;
+
+  (void)harness.run(spec);
+  EXPECT_EQ(event_names().count("sim.dump"), 0u);
+
+  trace::reset();
+  spec.use_disk_proxy = true;
+  (void)harness.run(spec);
+  const auto names = event_names();
+  EXPECT_EQ(names.count("sim.dump"), 1u);
+  EXPECT_GT(names.count("sim.load"), 0u);
+  std::filesystem::remove_all(spec.proxy_dir);
 }
 
 // Regression for the robustness-table gating fix: a traced clean run
