@@ -27,18 +27,18 @@ ImageBuffer random_partial(Index size, std::uint64_t seed) {
   return img;
 }
 
-void BM_DepthCompositePair(benchmark::State& state) {
+void BM_DepthComposite(benchmark::State& state) {
   const Index size = state.range(0);
   ImageBuffer dst = random_partial(size, 1);
   const ImageBuffer src = random_partial(size, 2);
   cluster::PerfCounters counters;
   for (auto _ : state) {
-    depth_composite_pair(dst, src, counters);
+    depth_composite(std::span(&src, 1), dst, counters);
     benchmark::DoNotOptimize(dst.colors().data());
   }
   state.SetItemsProcessed(state.iterations() * size * size);
 }
-BENCHMARK(BM_DepthCompositePair)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_DepthComposite)->Arg(128)->Arg(256)->Arg(512);
 
 void BM_AlphaComposite(benchmark::State& state) {
   const Index size = state.range(0);
@@ -49,7 +49,7 @@ void BM_AlphaComposite(benchmark::State& state) {
   for (auto _ : state) {
     ImageBuffer out(size, size);
     out.clear({0, 0, 0, 0});
-    alpha_composite(partials, order, out, counters);
+    alpha_composite_premultiplied(partials, order, out, counters);
     benchmark::DoNotOptimize(out.colors().data());
   }
   state.SetItemsProcessed(state.iterations() * size * size * 4);

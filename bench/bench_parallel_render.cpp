@@ -24,7 +24,6 @@
 #include "data/structured_grid.hpp"
 #include "data/triangle_mesh.hpp"
 #include "parallel/thread_pool.hpp"
-#include "pipeline/gaussian_splatter.hpp"
 #include "pipeline/isosurface.hpp"
 #include "render/colormap.hpp"
 #include "render/compositor.hpp"

@@ -10,7 +10,6 @@
 // volume raycaster (its scalar twin lives inside render_volume_scene),
 // with ETH_SIMD pinned per run via the dispatch override.
 
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -251,60 +250,7 @@ Row bench_premul_blend() {
   return row;
 }
 
-Row bench_blend_over() {
-  const Index n = 1 << 20;
-  const PixelRun base = make_pixels(n);
-  std::vector<float> s_rgba, v_rgba;
-
-  Row row{"blend_over", n, 0, 0, false};
-  row.scalar_s = best_of([&] {
-    s_rgba = base.rgba_a;
-    for (Index p = 0; p < n; ++p) {
-      const auto sp = std::size_t(p);
-      const float sw = base.rgba_b[4 * sp + 3];
-      const float dw = s_rgba[4 * sp + 3];
-      const float trans = 1.0f - dw;
-      for (int c = 0; c < 3; ++c)
-        s_rgba[4 * sp + c] =
-            s_rgba[4 * sp + c] + base.rgba_b[4 * sp + c] * sw * trans;
-      s_rgba[4 * sp + 3] = dw + sw * trans;
-    }
-  });
-  const simd::KernelTable* table = native_table();
-  row.simd_s = best_of([&] {
-    v_rgba = base.rgba_a;
-    table->blend_over(v_rgba.data(), base.rgba_b.data(), n);
-  });
-  row.identical = s_rgba == v_rgba;
-  return row;
-}
-
-// --------------------------------------------------- predicate / gather
-
-Row bench_threshold_scan() {
-  const Index n = 1 << 22;
-  Rng rng(13);
-  std::vector<float> values(static_cast<std::size_t>(n));
-  for (auto& v : values) v = Real(rng.uniform());
-  const float lo = 0.25f, hi = 0.75f;
-  std::vector<std::int64_t> s_out(static_cast<std::size_t>(n)), v_out(static_cast<std::size_t>(n));
-  std::int64_t s_count = 0, v_count = 0;
-
-  Row row{"threshold_scan", n, 0, 0, false};
-  row.scalar_s = best_of([&] {
-    s_count = 0;
-    for (Index i = 0; i < n; ++i)
-      if (values[std::size_t(i)] >= lo && values[std::size_t(i)] <= hi)
-        s_out[std::size_t(s_count++)] = i;
-  });
-  const simd::KernelTable* table = native_table();
-  row.simd_s = best_of(
-      [&] { v_count = table->threshold_scan(values.data(), n, lo, hi, 0, v_out.data()); });
-  row.identical = s_count == v_count &&
-                  std::memcmp(s_out.data(), v_out.data(),
-                              std::size_t(s_count) * sizeof(std::int64_t)) == 0;
-  return row;
-}
+// ------------------------------------------------------- stride gather
 
 Row bench_stride_copy() {
   const Index n = 1 << 20, stride = 2;
@@ -326,44 +272,6 @@ Row bench_stride_copy() {
   return row;
 }
 
-Row bench_splat_row() {
-  const Index rows = 20'000, n = 48;
-  const float org_x = -1.0f, sp_x = 2.0f / float(n), dy2 = 0.02f, dz2 = 0.01f;
-  const float cutoff2 = 0.4f, inv_2s2 = 6.0f;
-  Rng rng(19);
-  std::vector<float> px(static_cast<std::size_t>(rows));
-  for (auto& v : px) v = Real(rng.uniform(-1, 1));
-  std::vector<float> s_acc(std::size_t(n), 0), v_acc(std::size_t(n), 0);
-  std::int64_t s_updates = 0, v_updates = 0;
-
-  Row row{"splat_row", rows * n, 0, 0, false};
-  row.scalar_s = best_of([&] {
-    std::fill(s_acc.begin(), s_acc.end(), 0.0f);
-    s_updates = 0;
-    for (Index r = 0; r < rows; ++r) {
-      const float p = px[std::size_t(r)];
-      for (Index i = 0; i < n; ++i) {
-        const float gx = org_x + sp_x * float(i);
-        const float ddx = gx - p;
-        const float d2 = (ddx * ddx + dy2) + dz2;
-        if (d2 > cutoff2) continue;
-        s_acc[std::size_t(i)] += std::exp(-d2 * inv_2s2);
-        ++s_updates;
-      }
-    }
-  });
-  const simd::KernelTable* table = native_table();
-  row.simd_s = best_of([&] {
-    std::fill(v_acc.begin(), v_acc.end(), 0.0f);
-    v_updates = 0;
-    for (Index r = 0; r < rows; ++r)
-      table->splat_row(v_acc.data(), 0, n, org_x, sp_x, px[std::size_t(r)], dy2,
-                       dz2, cutoff2, inv_2s2, v_updates);
-  });
-  row.identical = s_acc == v_acc && s_updates == v_updates;
-  return row;
-}
-
 } // namespace
 } // namespace eth::bench
 
@@ -378,9 +286,8 @@ int main() {
               native_table()->width);
 
   const std::vector<Row> rows = {
-      bench_leaf_intersect(), bench_march_iso(),     bench_depth_merge(),
-      bench_premul_blend(),   bench_blend_over(),    bench_threshold_scan(),
-      bench_stride_copy(),    bench_splat_row(),
+      bench_leaf_intersect(), bench_march_iso(),   bench_depth_merge(),
+      bench_premul_blend(),   bench_stride_copy(),
   };
 
   ResultTable table({"kernel", "elements", "scalar_s", "simd_s", "speedup",
@@ -391,8 +298,7 @@ int main() {
     const double speedup = row.scalar_s / row.simd_s;
     all_identical = all_identical && row.identical;
     if (row.kernel == "leaf_intersect") leaf_speedup = speedup;
-    if (row.kernel == "depth_merge" || row.kernel == "premul_blend" ||
-        row.kernel == "blend_over")
+    if (row.kernel == "depth_merge" || row.kernel == "premul_blend")
       blend_speedup = std::max(blend_speedup, speedup);
     table.begin_row();
     table.add_cell(row.kernel);

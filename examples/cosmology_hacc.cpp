@@ -9,8 +9,6 @@
 #include <cstdlib>
 
 #include "core/sweep.hpp"
-#include "data/point_set.hpp"
-#include "pipeline/halo_finder.hpp"
 
 int main(int argc, char** argv) {
   using namespace eth;
@@ -53,28 +51,6 @@ int main(int argc, char** argv) {
   });
 
   std::printf("\n%s\n", metrics_table("algorithm", outcomes).to_text().c_str());
-
-  // The in-situ ANALYSIS side of the paper's motivation: "the science
-  // is particularly interested in the distribution of halos". Run the
-  // friends-of-friends finder on the same data.
-  {
-    sim::HaccParams params = base.hacc;
-    auto data = sim::generate_hacc(params);
-    HaloFinder finder(params.halo_scale_radius * 0.6f, 100);
-    finder.set_input(std::shared_ptr<const DataSet>(std::move(data)));
-    const auto& halos = static_cast<const PointSet&>(*finder.update());
-    std::printf("\nfriends-of-friends halo extract (link %.2f, min 100 members): "
-                "%lld halos\n",
-                params.halo_scale_radius * 0.6f,
-                static_cast<long long>(halos.num_points()));
-    const Index show = std::min<Index>(5, halos.num_points());
-    for (Index h = 0; h < show; ++h)
-      std::printf("  halo %lld: %6.0f members, radius %5.2f, mean speed %6.1f\n",
-                  static_cast<long long>(h),
-                  halos.point_fields().get("members").get(h),
-                  halos.point_fields().get("radius").get(h),
-                  halos.point_fields().get("mean_speed").get(h));
-  }
 
   // Quality: RMSE of each method against its own unsampled reference
   // when sampling is active (Table II's comparison).

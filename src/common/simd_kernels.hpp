@@ -83,27 +83,10 @@ struct KernelTable {
   void (*premul_blend)(float* out_rgba, float* out_depth, const float* src_rgba,
                        const float* src_depth, std::int64_t n_pixels);
 
-  /// ImageBuffer::blend_over of one partial into out over a pixel run.
-  void (*blend_over)(float* out_rgba, const float* src_rgba,
-                     std::int64_t n_pixels);
-
-  /// Threshold predicate scan: writes base+i for every i in [0, n) with
-  /// lo <= values[i] <= hi (ascending), returns the count written.
-  /// `out` must have room for n entries.
-  std::int64_t (*threshold_scan)(const float* values, std::int64_t n, float lo,
-                                 float hi, std::int64_t base, std::int64_t* out);
-
   /// Strided row gather (grid downsampling): dst[i] =
   /// src[min(i * stride, max_src)] for i in [0, n).
   void (*stride_copy)(const float* src, float* dst, std::int64_t n,
                       std::int64_t stride, std::int64_t max_src);
-
-  /// Gaussian splat row: for i in [0, n): gx = org_x + sp_x * (i0 + i),
-  /// ddx = gx - px, d2 = (ddx*ddx + dy2) + dz2; if d2 <= cutoff2 then
-  /// acc[i] += exp(-d2 * inv_2s2) and ++updates.
-  void (*splat_row)(float* acc, std::int64_t i0, std::int64_t n, float org_x,
-                    float sp_x, float px, float dy2, float dz2, float cutoff2,
-                    float inv_2s2, std::int64_t& updates);
 };
 
 /// The 4-wide table (SSE2 / NEON / generic reference loops) — always

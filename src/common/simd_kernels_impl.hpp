@@ -306,49 +306,6 @@ void premul_blend(float* out_rgba, float* out_depth, const float* src_rgba,
   }
 }
 
-// Mirrors ImageBuffer::blend_over (src/data/image.cpp): xyz channels
-// d.c + (s.c * s.w) * trans vectorized, w channel d.w + s.w * trans
-// written scalar over the vector store.
-template <int W>
-void blend_over(float* out_rgba, const float* src_rgba, std::int64_t n) {
-  using p4 = pack<float, 4>;
-
-  for (std::int64_t p = 0; p < n; ++p) {
-    const float sw = src_rgba[4 * p + 3];
-    const float dw = out_rgba[4 * p + 3];
-    const float trans = 1.0f - dw;
-    const p4 s = p4::load(src_rgba + 4 * p);
-    const p4 d = p4::load(out_rgba + 4 * p);
-    const p4 r = d + (s * p4::broadcast(sw)) * p4::broadcast(trans);
-    r.store(out_rgba + 4 * p);
-    out_rgba[4 * p + 3] = dw + sw * trans;
-  }
-}
-
-// --------------------------------------------------- threshold predicate
-// Mirrors the ThresholdFilter chunk scan (src/pipeline/threshold.cpp):
-// ordered compares reject NaN lanes exactly like the scalar &&.
-template <int W>
-std::int64_t threshold_scan(const float* values, std::int64_t n, float lo, float hi,
-                            std::int64_t base, std::int64_t* out) {
-  using pf = pack<float, W>;
-
-  const pf lov = pf::broadcast(lo), hiv = pf::broadcast(hi);
-  std::int64_t count = 0, i = 0;
-  for (; i + W <= n; i += W) {
-    const pf v = pf::load(values + i);
-    unsigned bits = movemask((v >= lov) & (v <= hiv));
-    while (bits != 0) {
-      const int l = std::countr_zero(bits);
-      bits &= bits - 1;
-      out[count++] = base + i + l;
-    }
-  }
-  for (; i < n; ++i)
-    if (values[i] >= lo && values[i] <= hi) out[count++] = base + i;
-  return count;
-}
-
 // ------------------------------------------------------- stride gather
 // Mirrors the SpatialSampler::sample_grid inner row
 // (src/pipeline/sampler.cpp): dst[i] = src[min(i * stride, max_src)].
@@ -370,57 +327,6 @@ void stride_copy(const float* src, float* dst, std::int64_t n, std::int64_t stri
   for (; i < n; ++i) dst[i] = src[std::min(i * stride, max_src)];
 }
 
-// ------------------------------------------------------- gaussian splat
-// Mirrors the GaussianSplatterFilter inner i-loop
-// (src/pipeline/gaussian_splatter.cpp). dy2/dz2 arrive precomputed from
-// the identical scalar expressions; exp stays a scalar libm call per
-// accepted lane (no vector math library reproduces expf bit-for-bit),
-// and the accumulate is select-stored so rejected lanes keep their
-// exact bits (adding a masked 0.0 could flip a -0.0 sign).
-template <int W>
-void splat_row(float* acc, std::int64_t i0, std::int64_t n, float org_x, float sp_x,
-               float px, float dy2, float dz2, float cutoff2, float inv_2s2,
-               std::int64_t& updates) {
-  using pf = pack<float, W>;
-  using pi = pack<std::int32_t, W>;
-
-  const pf orgv = pf::broadcast(org_x), spv = pf::broadcast(sp_x);
-  const pf pxv = pf::broadcast(px);
-  const pf dy2v = pf::broadcast(dy2), dz2v = pf::broadcast(dz2);
-  const pf cut2v = pf::broadcast(cutoff2), invv = pf::broadcast(inv_2s2);
-
-  float args[W], es[W];
-  for (int l = 0; l < W; ++l) es[l] = 0.0f;
-  std::int64_t i = 0;
-  for (; i + W <= n; i += W) {
-    const pi iv = pi::iota() + pi::broadcast(static_cast<std::int32_t>(i0 + i));
-    const pf gx = orgv + spv * to_float(iv); // point_position(i, j, k).x
-    const pf ddx = gx - pxv;
-    const pf d2 = (ddx * ddx + dy2v) + dz2v; // length2(g - p) association
-    const auto keep = ~(d2 > cut2v);         // scalar: continue if d2 > cutoff^2
-    unsigned bits = movemask(keep);
-    if (bits == 0) continue;
-    updates += std::popcount(bits);
-    ((-d2) * invv).store(args); // exp argument: -d2 * inv_2s2
-    unsigned b = bits;
-    while (b != 0) {
-      const int l = std::countr_zero(b);
-      b &= b - 1;
-      es[l] = std::exp(args[l]);
-    }
-    const pf a = pf::load(acc + i);
-    pf::select(keep, a + pf::load(es), a).store(acc + i);
-  }
-  for (; i < n; ++i) { // scalar tail, verbatim association
-    const float gx = org_x + sp_x * float(i0 + i);
-    const float ddx = gx - px;
-    const float d2 = (ddx * ddx + dy2) + dz2;
-    if (d2 > cutoff2) continue;
-    acc[i] += std::exp(-d2 * inv_2s2);
-    ++updates;
-  }
-}
-
 /// The table for one width, shared by the per-ISA TUs.
 template <int W>
 constexpr KernelTable make_table(const char* name) {
@@ -430,10 +336,7 @@ constexpr KernelTable make_table(const char* name) {
                      &march_iso<W>,
                      &depth_merge<W>,
                      &premul_blend<W>,
-                     &blend_over<W>,
-                     &threshold_scan<W>,
-                     &stride_copy<W>,
-                     &splat_row<W>};
+                     &stride_copy<W>};
 }
 
 } // namespace eth::simd::impl

@@ -48,6 +48,8 @@ void ExperimentSpec::validate() const {
   require(layout.ranks <= 64,
           "ExperimentSpec: more than 64 measurement ranks is never useful");
   require(viz.images_per_timestep > 0, "ExperimentSpec: images_per_timestep > 0");
+  require(viz.sampling_ratio > 0.0 && viz.sampling_ratio <= 1.0,
+          "ExperimentSpec: sampling ratio must be in (0, 1]");
   require(data_scale >= 1.0 && pixel_scale >= 1.0,
           "ExperimentSpec: scale factors must be >= 1 (paper scale / executed scale)");
   const bool particle = insitu::is_particle_algorithm(viz.algorithm);

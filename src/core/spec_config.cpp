@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -37,6 +38,15 @@ Vec3i parse_dims(std::string_view value) {
               std::string(value) + "'");
   return {parse_index(parts[0], "dims"), parse_index(parts[1], "dims"),
           parse_index(parts[2], "dims")};
+}
+
+/// parse_index for an `int` field: a value outside int's range throws
+/// instead of wrapping (`ranks 4294967298` would otherwise read as 2).
+int parse_int(const std::string& value, const char* key) {
+  const Index v = parse_index(value, key);
+  require(v >= std::numeric_limits<int>::min() && v <= std::numeric_limits<int>::max(),
+          std::string(key) + ": integer '" + value + "' is out of range");
+  return static_cast<int>(v);
 }
 
 /// A key's handler applies one string value to a spec.
@@ -78,15 +88,15 @@ const std::map<std::string, Applier>& appliers() {
        }},
       {"nodes",
        [](const std::string& v, ExperimentSpec& s) {
-         s.layout.nodes = static_cast<int>(parse_index(v, "nodes"));
+         s.layout.nodes = parse_int(v, "nodes");
        }},
       {"ranks",
        [](const std::string& v, ExperimentSpec& s) {
-         s.layout.ranks = static_cast<int>(parse_index(v, "ranks"));
+         s.layout.ranks = parse_int(v, "ranks");
        }},
       {"viz_nodes",
        [](const std::string& v, ExperimentSpec& s) {
-         s.layout.viz_nodes = static_cast<int>(parse_index(v, "viz_nodes"));
+         s.layout.viz_nodes = parse_int(v, "viz_nodes");
        }},
       {"sampling",
        [](const std::string& v, ExperimentSpec& s) {
@@ -113,12 +123,11 @@ const std::map<std::string, Applier>& appliers() {
        }},
       {"slices",
        [](const std::string& v, ExperimentSpec& s) {
-         s.viz.num_slices = static_cast<int>(parse_index(v, "slices"));
+         s.viz.num_slices = parse_int(v, "slices");
        }},
       {"quantization_bits",
        [](const std::string& v, ExperimentSpec& s) {
-         s.transport_quantization_bits =
-             static_cast<int>(parse_index(v, "quantization_bits"));
+         s.transport_quantization_bits = parse_int(v, "quantization_bits");
        }},
       {"transport_codec",
        [](const std::string& v, ExperimentSpec& s) {
@@ -127,7 +136,7 @@ const std::map<std::string, Applier>& appliers() {
        }},
       {"pipeline_depth",
        [](const std::string& v, ExperimentSpec& s) {
-         s.pipeline_depth = static_cast<int>(parse_index(v, "pipeline_depth"));
+         s.pipeline_depth = parse_int(v, "pipeline_depth");
        }},
       {"data_scale",
        [](const std::string& v, ExperimentSpec& s) {
@@ -167,8 +176,7 @@ const std::map<std::string, Applier>& appliers() {
        }},
       {"transfer_attempts",
        [](const std::string& v, ExperimentSpec& s) {
-         s.transfer_retry.max_attempts =
-             static_cast<int>(parse_index(v, "transfer_attempts"));
+         s.transfer_retry.max_attempts = parse_int(v, "transfer_attempts");
        }},
       {"artifact_dir",
        [](const std::string& v, ExperimentSpec& s) { s.artifact_dir = v; }},

@@ -30,16 +30,6 @@ bool ImageBuffer::depth_test_set(Index x, Index y, Vec4f c, Real d) {
   return true;
 }
 
-void ImageBuffer::blend_over(Index x, Index y, Vec4f src) {
-  const std::size_t p = pixel(x, y);
-  const Vec4f dst = color_[p];
-  // Front-to-back compositing with premultiplied alpha: dst is what has
-  // accumulated in front; src arrives behind it.
-  const Real trans = Real(1) - dst.w;
-  color_[p] = Vec4f{dst.x + src.x * src.w * trans, dst.y + src.y * src.w * trans,
-                    dst.z + src.z * src.w * trans, dst.w + src.w * trans};
-}
-
 void ImageBuffer::write_ppm(const std::string& path) const {
   std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(std::fopen(path.c_str(), "wb"),
                                                     &std::fclose);

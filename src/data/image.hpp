@@ -54,9 +54,6 @@ public:
   /// depth. Returns true when the pixel was updated.
   bool depth_test_set(Index x, Index y, Vec4f c, Real d);
 
-  /// "Over" blend of src onto the stored color (front-to-back).
-  void blend_over(Index x, Index y, Vec4f src);
-
   std::vector<Vec4f>& colors() { return color_; }
   const std::vector<Vec4f>& colors() const { return color_; }
   std::vector<Real>& depths() { return depth_; }

@@ -157,22 +157,6 @@ PartialView parse_partial(std::span<const std::uint8_t> bytes, const ImageBuffer
 
 } // namespace
 
-void depth_composite_pair(ImageBuffer& dst, const ImageBuffer& src,
-                          cluster::PerfCounters& counters) {
-  const trace::Span span("composite");
-  require(dst.width() == src.width() && dst.height() == src.height(),
-          "depth_composite_pair: size mismatch");
-  const Index n = dst.num_pixels();
-  // Pixel-parallel: chunks own disjoint pixel ranges and each pixel's
-  // result is independent of the partition.
-  parallel_for(0, n, 16384, [&](Index b, Index e) {
-    merge_pair_range(dst, src, static_cast<std::size_t>(b),
-                     static_cast<std::size_t>(e));
-  });
-  counters.elements_processed += dst.num_pixels();
-  counters.flop_estimate += double(n) * 2.0;
-}
-
 void depth_composite(std::span<const ImageBuffer> partials, ImageBuffer& out,
                      cluster::PerfCounters& counters) {
   const trace::Span span("composite");
@@ -237,43 +221,6 @@ void depth_composite_tree(std::vector<ImageBuffer>& partials,
   }
   counters.elements_processed += n * merges;
   counters.flop_estimate += double(n) * 2.0 * double(merges);
-}
-
-void alpha_composite(std::span<const ImageBuffer> partials,
-                     std::span<const std::size_t> order, ImageBuffer& out,
-                     cluster::PerfCounters& counters) {
-  const trace::Span span("composite");
-  require(order.size() == partials.size(), "alpha_composite: order size mismatch");
-  for (const std::size_t idx : order) {
-    require(idx < partials.size(), "alpha_composite: order index out of range");
-    require(partials[idx].width() == out.width() &&
-                partials[idx].height() == out.height(),
-            "alpha_composite: size mismatch");
-  }
-  // Pixel-parallel with the partial order applied per pixel: each pixel
-  // blends the partials front to back exactly as the serial loop did,
-  // so the result is independent of the pixel partition.
-  const Index width = out.width();
-  const simd::KernelTable* table = simd::active_kernels();
-  parallel_for(0, out.height(), 8, [&](Index y0, Index y1) {
-    if (table != nullptr) {
-      // Row-run kernel calls; per pixel the partial order is unchanged
-      // (pixels are independent, so hoisting `idx` above `x` is exact).
-      auto& ocol = out.colors();
-      for (Index y = y0; y < y1; ++y) {
-        const auto row = static_cast<std::size_t>(y * width);
-        for (const std::size_t idx : order)
-          table->blend_over(rgba_ptr(ocol, row), rgba_ptr(partials[idx].colors(), row),
-                            width);
-      }
-      return;
-    }
-    for (Index y = y0; y < y1; ++y)
-      for (Index x = 0; x < width; ++x)
-        for (const std::size_t idx : order) out.blend_over(x, y, partials[idx].color(x, y));
-  });
-  counters.elements_processed += out.num_pixels() * static_cast<Index>(partials.size());
-  counters.flop_estimate += double(out.num_pixels()) * 7.0 * double(partials.size());
 }
 
 void alpha_composite_premultiplied(std::span<const ImageBuffer> partials,

@@ -40,23 +40,11 @@ void depth_composite(std::span<const ImageBuffer> partials, ImageBuffer& out,
 void depth_composite_tree(std::vector<ImageBuffer>& partials,
                           cluster::PerfCounters& counters);
 
-/// Merge `src` into `dst` in place by depth test (binary-swap step).
-/// Equal depths keep `dst`: callers must keep the lower rank/index on
-/// the destination side so ties resolve to the lower rank everywhere.
-void depth_composite_pair(ImageBuffer& dst, const ImageBuffer& src,
-                          cluster::PerfCounters& counters);
-
-/// Alpha-composite `partials` over each other; `order` lists partial
-/// indices front to back (e.g. partitions sorted by view distance).
-/// Partial colors are STRAIGHT alpha (rgb not yet multiplied by a).
-void alpha_composite(std::span<const ImageBuffer> partials,
-                     std::span<const std::size_t> order, ImageBuffer& out,
-                     cluster::PerfCounters& counters);
-
-/// Same front-to-back composition for PREMULTIPLIED-alpha partials (the
-/// DVR renderer's output): out += partial * (1 - out.alpha), in order.
-/// `out` must start fully transparent. Depth keeps the nearest partial's
-/// entry depth per pixel.
+/// Alpha-composite PREMULTIPLIED-alpha partials (the DVR renderer's
+/// output) front to back: `order` lists partial indices front to back
+/// (e.g. partitions sorted by view distance), and out += partial *
+/// (1 - out.alpha) in that order. `out` must start fully transparent.
+/// Depth keeps the nearest partial's entry depth per pixel.
 void alpha_composite_premultiplied(std::span<const ImageBuffer> partials,
                                    std::span<const std::size_t> order,
                                    ImageBuffer& out, cluster::PerfCounters& counters);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <string>
 
@@ -68,6 +69,19 @@ TEST(ExperimentSpec, RejectsSubUnityScaleFactors) {
   spec = valid_hacc();
   spec.data_scale = 125.0;
   spec.pixel_scale = 16.0;
+  EXPECT_NO_THROW(spec.validate());
+}
+
+TEST(ExperimentSpec, RejectsSamplingRatioOutsideUnitInterval) {
+  for (const double ratio : {0.0, -0.25, 1.5, std::nan("")}) {
+    ExperimentSpec spec = valid_hacc();
+    spec.viz.sampling_ratio = ratio;
+    EXPECT_THROW(spec.validate(), Error) << ratio;
+  }
+  ExperimentSpec spec = valid_hacc();
+  spec.viz.sampling_ratio = 1e-3;
+  EXPECT_NO_THROW(spec.validate());
+  spec.viz.sampling_ratio = 1.0;
   EXPECT_NO_THROW(spec.validate());
 }
 

@@ -63,20 +63,6 @@ TEST(ImageBuffer, DepthTestSetKeepsNearest) {
   EXPECT_FALSE(img.depth_test_set(0, 0, {1, 1, 1, 1}, 2.0f));
 }
 
-TEST(ImageBuffer, BlendOverAccumulatesFrontToBack) {
-  ImageBuffer img(1, 1);
-  img.set_color(0, 0, {0, 0, 0, 0}); // fully transparent start
-  img.blend_over(0, 0, {1, 0, 0, 0.5f});
-  const Vec4f after_one = img.color(0, 0);
-  EXPECT_NEAR(after_one.x, 0.5f, 1e-6);
-  EXPECT_NEAR(after_one.w, 0.5f, 1e-6);
-  img.blend_over(0, 0, {0, 1, 0, 1.0f});
-  const Vec4f after_two = img.color(0, 0);
-  EXPECT_NEAR(after_two.x, 0.5f, 1e-6); // front color survives
-  EXPECT_NEAR(after_two.y, 0.5f, 1e-6); // back fills the remainder
-  EXPECT_NEAR(after_two.w, 1.0f, 1e-6);
-}
-
 TEST(ImageBuffer, RmseIdentical) {
   ImageBuffer a(8, 8), b(8, 8);
   a.clear({0.5f, 0.5f, 0.5f, 1});

@@ -21,7 +21,6 @@
 #include "render/compositor.hpp"
 #include "sim/dump.hpp"
 #include "sim/hacc_generator.hpp"
-#include "sim/partition.hpp"
 #include "sim/xrage_generator.hpp"
 
 namespace eth {
@@ -42,14 +41,14 @@ protected:
 };
 
 TEST_F(EndToEndTest, DumpProxyRenderCompositePipeline) {
-  // 1. "Preliminary run": generate + partition + dump per rank.
+  // 1. "Preliminary run": generate + cut each rank's slab + dump it.
   constexpr int kRanks = 3;
   sim::HaccParams params;
   params.num_particles = 6000;
   const auto full = sim::generate_hacc(params);
-  const auto parts = sim::partition_points(*full, kRanks);
   const sim::DumpWriter writer(dir_.string(), "e2e");
-  for (int r = 0; r < kRanks; ++r) writer.write(parts[static_cast<std::size_t>(r)], 0, r);
+  for (int r = 0; r < kRanks; ++r)
+    writer.write(sim::extract_hacc_slab(*full, params.box_size, r, kRanks), 0, r);
 
   // 2. Parallel proxy + viz + composite over minimpi. Every rank uses
   // the same global color scale, as the harness would arrange.
@@ -69,15 +68,13 @@ TEST_F(EndToEndTest, DumpProxyRenderCompositePipeline) {
     const auto data = proxy.load(0, comm.rank());
     auto out = insitu::run_viz_rank(*data, shared_cfg, camera);
 
-    const auto packed = pack_image(out.images[0]);
-    const auto gathered = comm.gather(packed, 0);
+    const auto gathered = comm.gather(pack_image(out.images[0]), 0);
     if (comm.rank() == 0) {
+      std::vector<ImageBuffer> partials;
+      for (const auto& bytes : gathered) partials.push_back(unpack_image(bytes));
       cluster::PerfCounters counters;
-      ImageBuffer merged = std::move(out.images[0]);
-      for (int src = 1; src < kRanks; ++src)
-        depth_composite_pair(merged, unpack_image(gathered[static_cast<std::size_t>(src)]),
-                             counters);
-      final_image = std::move(merged);
+      final_image = ImageBuffer(shared_cfg.image_width, shared_cfg.image_height);
+      depth_composite(partials, final_image, counters);
     }
   });
 

@@ -27,12 +27,12 @@ TEST(Compositor, PairMergeKeepsNearest) {
   ImageBuffer dst = solid(4, 4, {1, 0, 0, 1}, 5.0f);
   const ImageBuffer near_img = solid(4, 4, {0, 1, 0, 1}, 2.0f);
   cluster::PerfCounters counters;
-  depth_composite_pair(dst, near_img, counters);
+  depth_composite(std::span(&near_img, 1), dst, counters);
   EXPECT_EQ(dst.color(1, 1), (Vec4f{0, 1, 0, 1}));
   EXPECT_EQ(dst.depth(1, 1), 2.0f);
 
   const ImageBuffer far_img = solid(4, 4, {0, 0, 1, 1}, 9.0f);
-  depth_composite_pair(dst, far_img, counters);
+  depth_composite(std::span(&far_img, 1), dst, counters);
   EXPECT_EQ(dst.color(1, 1), (Vec4f{0, 1, 0, 1})); // unchanged
 }
 
@@ -84,9 +84,10 @@ TEST(Compositor, EqualDepthTieResolvesToLowestPartialIndex) {
   depth_composite(partials, out, counters);
   EXPECT_EQ(out.color(2, 2), (Vec4f{0, 0, 0, 1})); // partial 0 wins
 
-  // Pair merge: dst keeps ties, so lower-index-on-dst wins too.
+  // Merging into a drawn frame: the frame keeps ties, as rank 0's own
+  // partial does in the harness's in-place merge.
   ImageBuffer dst = solid(4, 4, {1, 0, 0, 1}, 5.0f);
-  depth_composite_pair(dst, partials[2], counters);
+  depth_composite(std::span(&partials[2], 1), dst, counters);
   EXPECT_EQ(dst.color(1, 1), (Vec4f{1, 0, 0, 1}));
 
   // Reduction tree: same answer.
@@ -130,19 +131,21 @@ TEST(Compositor, TreeMatchesSequentialFold) {
 }
 
 TEST(Compositor, SizeMismatchThrows) {
-  ImageBuffer a(4, 4), b(5, 4);
+  ImageBuffer a(4, 4);
+  const ImageBuffer b(5, 4);
   cluster::PerfCounters counters;
-  EXPECT_THROW(depth_composite_pair(a, b, counters), Error);
+  EXPECT_THROW(depth_composite(std::span(&b, 1), a, counters), Error);
 }
 
 TEST(Compositor, AlphaCompositeRespectsOrder) {
-  // Front partial half-transparent red, back partial opaque blue.
+  // Front partial half-transparent red, back partial opaque blue, both
+  // premultiplied like the DVR renderer's output.
   ImageBuffer front(2, 2), back(2, 2);
   front.clear({0, 0, 0, 0});
   back.clear({0, 0, 0, 0});
   for (Index y = 0; y < 2; ++y)
     for (Index x = 0; x < 2; ++x) {
-      front.set_color(x, y, {1, 0, 0, 0.5f});
+      front.set_color(x, y, {0.5f, 0, 0, 0.5f});
       back.set_color(x, y, {0, 0, 1, 1.0f});
     }
   const std::vector<ImageBuffer> partials = [&] {
@@ -156,7 +159,7 @@ TEST(Compositor, AlphaCompositeRespectsOrder) {
   ImageBuffer out(2, 2);
   out.clear({0, 0, 0, 0});
   const std::vector<std::size_t> order{0, 1}; // front first
-  alpha_composite(partials, order, out, counters);
+  alpha_composite_premultiplied(partials, order, out, counters);
   const Vec4f c = out.color(0, 0);
   EXPECT_NEAR(c.x, 0.5f, 1e-5);
   EXPECT_NEAR(c.z, 0.5f, 1e-5);
@@ -166,7 +169,7 @@ TEST(Compositor, AlphaCompositeRespectsOrder) {
   ImageBuffer out2(2, 2);
   out2.clear({0, 0, 0, 0});
   const std::vector<std::size_t> rev{1, 0};
-  alpha_composite(partials, rev, out2, counters);
+  alpha_composite_premultiplied(partials, rev, out2, counters);
   EXPECT_NEAR(out2.color(0, 0).z, 1.0f, 1e-5);
   EXPECT_NEAR(out2.color(0, 0).x, 0.0f, 1e-5);
 }
@@ -177,9 +180,12 @@ TEST(Compositor, AlphaCompositeValidatesOrder) {
   cluster::PerfCounters counters;
   ImageBuffer out(2, 2);
   const std::vector<std::size_t> bad_size{0, 0};
-  EXPECT_THROW(alpha_composite(partials, bad_size, out, counters), Error);
+  EXPECT_THROW(alpha_composite_premultiplied(partials, bad_size, out, counters), Error);
   const std::vector<std::size_t> bad_index{7};
-  EXPECT_THROW(alpha_composite(partials, bad_index, out, counters), Error);
+  EXPECT_THROW(alpha_composite_premultiplied(partials, bad_index, out, counters), Error);
+  const std::vector<ImageBuffer> wide(1, ImageBuffer(3, 2));
+  const std::vector<std::size_t> first{0};
+  EXPECT_THROW(alpha_composite_premultiplied(wide, first, out, counters), Error);
 }
 
 TEST(Compositor, PackUnpackRoundTrip) {

@@ -3,22 +3,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "common/rng.hpp"
 #include "insitu/viz.hpp"
 #include "render/compositor.hpp"
 #include "render/ray/raycaster.hpp"
-#include "sim/partition.hpp"
 #include "sim/xrage_generator.hpp"
 
 namespace eth {
 namespace {
 
-std::unique_ptr<StructuredGrid> volume() {
+sim::XrageParams volume_params() {
   sim::XrageParams params;
   params.dims = {24, 20, 18};
   params.timestep = 5;
-  return sim::generate_xrage(params);
+  return params;
 }
+
+std::unique_ptr<StructuredGrid> volume() { return sim::generate_xrage(volume_params()); }
 
 TEST(Dvr, AccumulatesWhereTheVolumeIsDense) {
   const auto grid = volume();
@@ -106,9 +110,10 @@ TEST(Dvr, RequiresTransferFunction) {
 }
 
 TEST(Dvr, OrderedCompositeMatchesSerialRender) {
-  // Partition the volume into slabs, DVR each partial, alpha-composite
-  // in view order: the result must closely match a serial full-volume
-  // render (sort-last DVR correctness).
+  // Cut the volume into the harness's per-rank blocks, DVR each
+  // partial, alpha-composite in view order: the result must closely
+  // match a serial full-volume render (sort-last DVR correctness).
+  const sim::XrageParams params = volume_params();
   const auto grid = volume();
   const Camera camera = Camera::framing(grid->bounds(), {0.1f, -0.2f, -1.0f});
   const TransferFunction tf = TransferFunction::thermal().rescaled(0, 1);
@@ -121,17 +126,25 @@ TEST(Dvr, OrderedCompositeMatchesSerialRender) {
   serial.clear({0, 0, 0, 0});
   renderer.render_volume_dvr(*grid, "temperature", camera, serial, options, counters);
 
-  const auto parts = sim::partition_grid(*grid, 3);
+  constexpr int kParts = 3;
   std::vector<ImageBuffer> partials;
-  std::vector<AABB> bounds;
-  for (const auto& part : parts) {
+  std::vector<double> dists;
+  for (int share = 0; share < kParts; ++share) {
+    const auto [lo, hi] = sim::grid_block_range(params.dims, share, kParts);
+    const auto block = sim::generate_xrage_block(params, lo, hi);
     ImageBuffer img(64, 64);
     img.clear({0, 0, 0, 0});
-    renderer.render_volume_dvr(part, "temperature", camera, img, options, counters);
+    renderer.render_volume_dvr(*block, "temperature", camera, img, options, counters);
     partials.push_back(std::move(img));
-    bounds.push_back(part.bounds());
+    dists.push_back(double(length(block->bounds().center() - camera.eye())));
   }
-  const auto order = sim::view_order(bounds, camera.eye());
+  // Front to back by view distance, ties to the lower block (the
+  // harness's blend order).
+  std::vector<std::size_t> order(kParts);
+  std::iota(order.begin(), order.end(), std::size_t(0));
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return dists[a] != dists[b] ? dists[a] < dists[b] : a < b;
+  });
   ImageBuffer merged(64, 64);
   merged.clear({0, 0, 0, 0});
   alpha_composite_premultiplied(partials, order, merged, counters);

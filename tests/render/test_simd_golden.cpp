@@ -421,61 +421,7 @@ TEST(SimdGateKernels, PremulBlendMatchesScalarLoop) {
   }
 }
 
-TEST(SimdGateKernels, BlendOverMatchesScalarLoop) {
-  const std::int64_t n = 13;
-  std::vector<float> out_rgba(4 * n), src_rgba(4 * n);
-  for (std::int64_t p = 0; p < n; ++p) {
-    for (int c = 0; c < 4; ++c) {
-      out_rgba[4 * p + c] = 0.07f * float(p) + 0.1f * float(c);
-      src_rgba[4 * p + c] = 0.09f * float(p + 1) - 0.04f * float(c);
-    }
-  }
-  out_rgba[4 * 2 + 3] = 1.0f;  // opaque dst: trans == 0
-  src_rgba[4 * 6 + 3] = 0.0f;  // transparent src
-  src_rgba[4 * 10 + 0] = kQnan;
-
-  for (const simd::KernelTable* table : vector_tables()) {
-    std::vector<float> rgba = out_rgba;
-    std::vector<float> ref = out_rgba;
-    table->blend_over(rgba.data(), src_rgba.data(), n);
-    for (std::int64_t p = 0; p < n; ++p) {
-      const float sw = src_rgba[4 * p + 3];
-      const float dw = ref[4 * p + 3];
-      const float trans = 1.0f - dw;
-      for (int c = 0; c < 3; ++c)
-        ref[4 * p + c] = ref[4 * p + c] + src_rgba[4 * p + c] * sw * trans;
-      ref[4 * p + 3] = dw + sw * trans;
-    }
-    EXPECT_TRUE(bits_equal(rgba.data(), ref.data(), rgba.size())) << table->name;
-  }
-}
-
-// ------------------------------------------------------- predicate scans
-
-TEST(SimdGateKernels, ThresholdScanMatchesScalarLoop) {
-  // n = 11 with boundary values on both edges, an all-reject run and a
-  // NaN (ordered compares reject it exactly like the scalar &&).
-  const std::vector<float> values = {0.25f, 0.1f, 0.75f, 0.5f,  kQnan, 0.3f,
-                                     0.9f,  0.9f, 0.9f,  0.25f, 0.74999f};
-  const std::int64_t n = std::int64_t(values.size());
-  const float lo = 0.25f, hi = 0.75f;
-  const std::int64_t base = 1000;
-
-  std::vector<std::int64_t> ref;
-  for (std::int64_t i = 0; i < n; ++i)
-    if (values[std::size_t(i)] >= lo && values[std::size_t(i)] <= hi)
-      ref.push_back(base + i);
-  ASSERT_FALSE(ref.empty());
-
-  for (const simd::KernelTable* table : vector_tables()) {
-    std::vector<std::int64_t> out(std::size_t(n), -1);
-    const std::int64_t count =
-        table->threshold_scan(values.data(), n, lo, hi, base, out.data());
-    ASSERT_EQ(count, std::int64_t(ref.size())) << table->name;
-    for (std::size_t i = 0; i < ref.size(); ++i)
-      EXPECT_EQ(out[i], ref[i]) << table->name << " index " << i;
-  }
-}
+// ------------------------------------------------------- stride gather
 
 TEST(SimdGateKernels, StrideCopyMatchesScalarLoop) {
   const std::int64_t n = 9, stride = 3, max_src = 20;
@@ -492,46 +438,6 @@ TEST(SimdGateKernels, StrideCopyMatchesScalarLoop) {
     std::vector<float> dst(std::size_t(n), 99.0f);
     table->stride_copy(src.data(), dst.data(), n, stride, max_src);
     EXPECT_TRUE(bits_equal(dst.data(), ref.data(), dst.size())) << table->name;
-  }
-}
-
-// ---------------------------------------------------------- splat rows
-
-TEST(SimdGateKernels, SplatRowMatchesScalarLoop) {
-  // Row of 11 voxels straddling the cutoff: lanes inside accumulate
-  // exp() terms, lanes outside must keep their previous bits exactly
-  // (including -0.0 and a NaN poison value — a masked add of 0.0 would
-  // corrupt both).
-  const std::int64_t n = 11, i0 = 5;
-  const float org_x = -1.0f, sp_x = 0.25f, px = 0.6f;
-  const float dy2 = 0.09f, dz2 = 0.04f;
-  const float cutoff2 = 0.5f, inv_2s2 = 3.0f;
-
-  std::vector<float> init(static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < init.size(); ++i) init[i] = 0.001f * float(i);
-  init[0] = -0.0f;
-  init[10] = kQnan;
-
-  std::vector<float> ref = init;
-  std::int64_t ref_updates = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float gx = org_x + sp_x * float(i0 + i);
-    const float ddx = gx - px;
-    const float d2 = (ddx * ddx + dy2) + dz2;
-    if (d2 > cutoff2) continue;
-    ref[std::size_t(i)] += std::exp(-d2 * inv_2s2);
-    ++ref_updates;
-  }
-  ASSERT_GT(ref_updates, 0);
-  ASSERT_LT(ref_updates, n); // both sides of the cutoff are exercised
-
-  for (const simd::KernelTable* table : vector_tables()) {
-    std::vector<float> acc = init;
-    std::int64_t updates = 100; // kernel must add, not assign
-    table->splat_row(acc.data(), i0, n, org_x, sp_x, px, dy2, dz2, cutoff2,
-                     inv_2s2, updates);
-    EXPECT_EQ(updates, 100 + ref_updates) << table->name;
-    EXPECT_TRUE(bits_equal(acc.data(), ref.data(), acc.size())) << table->name;
   }
 }
 
