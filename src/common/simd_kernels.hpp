@@ -55,17 +55,53 @@ struct MarchHits {
   std::int64_t steps = 0;    ///< total ray_steps consumed (all lanes)
 };
 
+/// One SphereBVH node (render/ray/bvh.hpp stores its tree in this
+/// layout). Depth-first order: an interior node's left child is the
+/// next node.
+struct BvhNode {
+  float lo[3];                  ///< box corners
+  float hi[3];
+  std::int64_t right_or_first = 0; ///< interior: right child; leaf: first slot
+  std::int64_t count = 0;          ///< spheres in a leaf; 0 for interior nodes
+};
+
+/// POD view of a non-empty SphereBVH: its nodes and the leaf-order SoA
+/// sphere centers, all spheres of one radius.
+struct SphereBvhView {
+  const BvhNode* nodes = nullptr;
+  const float* cx = nullptr;
+  const float* cy = nullptr;
+  const float* cz = nullptr;
+  float radius = 0;
+};
+
+/// One packet of `count` <= width rays from a shared origin, SoA
+/// (arrays sized >= count), all searched within (tmin, tmax).
+struct SphereRays {
+  int count = 0;
+  float ox = 0, oy = 0, oz = 0;
+  const float* dx = nullptr; ///< unit direction components
+  const float* dy = nullptr;
+  const float* dz = nullptr;
+  float tmin = 0, tmax = 0;
+};
+
+/// sphere_packet result per lane (arrays sized >= count).
+struct SphereHits {
+  float* closest = nullptr;       ///< nearest accepted t, tmax on a miss
+  std::int64_t* slot = nullptr;   ///< leaf-order slot of that sphere, -1 = miss
+  std::int64_t* visited = nullptr; ///< nodes popped (incremented)
+};
+
 struct KernelTable {
   const char* name;  ///< ISA label: "sse2", "avx2", "neon", "generic4"
   int width;         ///< float lanes per pack
 
-  /// BVH leaf batch: test spheres [0, n) with SoA centers against one
-  /// ray, updating (closest, slot) exactly like the scalar leaf loop
-  /// (slot is `base` + local index of the accepted sphere).
-  void (*leaf_intersect)(const float* cx, const float* cy, const float* cz,
-                         std::int64_t n, std::int64_t base, float ox, float oy,
-                         float oz, float dx, float dy, float dz, float radius,
-                         float tmin, float& closest, std::int64_t& slot);
+  /// Packet BVH traversal: every lane gets the (closest, slot) and node
+  /// visit count of the scalar SphereBVH::intersect loop for its ray.
+  /// Returns false when the 64-entry traversal stack would overflow.
+  bool (*sphere_packet)(const SphereBvhView& bvh, const SphereRays& rays,
+                        SphereHits& out);
 
   /// Lockstep isosurface march over <= width rays; mirrors the scalar
   /// march_iso loop up to (but excluding) bisection refinement, which

@@ -1,5 +1,6 @@
 #include "core/experiment.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -48,10 +49,18 @@ void ExperimentSpec::validate() const {
   require(layout.ranks <= 64,
           "ExperimentSpec: more than 64 measurement ranks is never useful");
   require(viz.images_per_timestep > 0, "ExperimentSpec: images_per_timestep > 0");
+  require(viz.image_width >= 1 && viz.image_height >= 1,
+          "ExperimentSpec: image sides must be >= 1 pixel");
   require(viz.sampling_ratio > 0.0 && viz.sampling_ratio <= 1.0,
           "ExperimentSpec: sampling ratio must be in (0, 1]");
-  require(data_scale >= 1.0 && pixel_scale >= 1.0,
-          "ExperimentSpec: scale factors must be >= 1 (paper scale / executed scale)");
+  require(hacc.num_particles >= 0, "ExperimentSpec: particles must be >= 0");
+  require(hacc.num_halos >= 1, "ExperimentSpec: need at least one halo");
+  require(xrage.dims.x >= 2 && xrage.dims.y >= 2 && xrage.dims.z >= 2,
+          "ExperimentSpec: every grid axis needs >= 2 points");
+  require(std::isfinite(data_scale) && std::isfinite(pixel_scale) &&
+              data_scale >= 1.0 && pixel_scale >= 1.0,
+          "ExperimentSpec: scale factors must be finite and >= 1 (paper scale / "
+          "executed scale)");
   const bool particle = insitu::is_particle_algorithm(viz.algorithm);
   require(particle == (application == Application::kHacc),
           "ExperimentSpec: algorithm does not match the application's data kind");
@@ -68,7 +77,8 @@ void ExperimentSpec::validate() const {
                          fault.p_truncate, fault.p_bit_flip, fault.p_delay})
     require(p >= 0.0 && p <= 1.0,
             "ExperimentSpec: fault probabilities must be in [0, 1]");
-  require(fault.delay_ms >= 0.0, "ExperimentSpec: fault delay must be >= 0");
+  require(std::isfinite(fault.delay_ms) && fault.delay_ms >= 0.0,
+          "ExperimentSpec: fault delay must be finite and >= 0");
   require(transfer_retry.max_attempts >= 1,
           "ExperimentSpec: transfer retry budget must be >= 1 attempt");
   require(transfer_retry.recv_deadline_seconds > 0,

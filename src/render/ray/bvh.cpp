@@ -65,7 +65,11 @@ Index SphereBVH::build_recursive(std::span<const Vec3f> centers, Index begin, In
     box.extend(c);
   }
   box = box.inflated(radius_);
-  nodes_[static_cast<std::size_t>(node_index)].box = box;
+  Node& node = nodes_[static_cast<std::size_t>(node_index)];
+  for (int a = 0; a < 3; ++a) {
+    node.lo[a] = box.lo[a];
+    node.hi[a] = box.hi[a];
+  }
 
   const Index count = end - begin;
   constexpr int kMaxDepth = 64;
@@ -154,15 +158,13 @@ Index SphereBVH::build_recursive(std::span<const Vec3f> centers, Index begin, In
 
 SphereHit SphereBVH::intersect(const Ray& ray, Real tmin, Real tmax,
                                cluster::PerfCounters& counters) const {
-  SphereHit hit;
-  if (nodes_.empty()) return hit;
+  if (nodes_.empty()) return {};
 
   const Vec3f inv_d{Real(1) / ray.direction.x, Real(1) / ray.direction.y,
                     Real(1) / ray.direction.z};
   Real closest = tmax;
   Index visited = 0;
   Index slot = -1; // leaf-order slot of the accepted sphere
-  const simd::KernelTable* table = simd::active_kernels();
 
   Index stack[64];
   int top = 0;
@@ -170,44 +172,67 @@ SphereHit SphereBVH::intersect(const Ray& ray, Real tmin, Real tmax,
   while (top > 0) {
     const Node& node = nodes_[static_cast<std::size_t>(stack[--top])];
     ++visited;
-    if (!node.box.hit(ray.origin, inv_d, tmin, closest)) continue;
-    if (node.is_leaf()) {
-      if (table != nullptr) {
-        const auto first = static_cast<std::size_t>(node.right_or_first);
-        table->leaf_intersect(cx_.data() + first, cy_.data() + first,
-                              cz_.data() + first, node.count, node.right_or_first,
-                              ray.origin.x, ray.origin.y, ray.origin.z,
-                              ray.direction.x, ray.direction.y, ray.direction.z,
-                              radius_, tmin, closest, slot);
-      } else {
-        for (Index s = node.right_or_first; s < node.right_or_first + node.count;
-             ++s) {
-          const Vec3f c = centers_[static_cast<std::size_t>(s)];
-          const Real t = ray_sphere(ray, c, radius_, tmin, closest);
-          if (t > 0) {
-            closest = t;
-            slot = s;
-          }
+    if (!box_of(node).hit(ray.origin, inv_d, tmin, closest)) continue;
+    if (is_leaf(node)) {
+      for (Index s = node.right_or_first; s < node.right_or_first + node.count; ++s) {
+        const Vec3f c = centers_[static_cast<std::size_t>(s)];
+        const Real t = ray_sphere(ray, c, radius_, tmin, closest);
+        if (t > 0) {
+          closest = t;
+          slot = s;
         }
       }
     } else {
       // Push children; near-first ordering is approximated by pushing
       // the right child first so the left (index+1, contiguous) child
       // pops next.
+      require(top + 2 <= 64, "SphereBVH: traversal stack overflow");
       stack[top++] = node.right_or_first;
       stack[top++] = static_cast<Index>(&node - nodes_.data()) + 1;
-      require(top <= 64, "SphereBVH: traversal stack overflow");
     }
   }
+  counters.bvh_nodes_visited += visited;
+  return hit_of(ray, closest, slot);
+}
+
+void SphereBVH::intersect_packet(const simd::KernelTable& table, const Ray* rays,
+                                 int count, Real tmin, Real tmax, SphereHit* hits,
+                                 cluster::PerfCounters& counters) const {
+  require(count >= 1 && count <= table.width && count <= kMaxPacket,
+          "SphereBVH::intersect_packet: packet must hold 1..width rays");
+  for (int l = 0; l < count; ++l) hits[l] = SphereHit{};
+  if (nodes_.empty()) return;
+
+  float dx[kMaxPacket] = {}, dy[kMaxPacket] = {}, dz[kMaxPacket] = {};
+  float closest[kMaxPacket] = {};
+  std::int64_t slot[kMaxPacket] = {}, visited[kMaxPacket] = {};
+  for (int l = 0; l < count; ++l) {
+    require(rays[l].origin == rays[0].origin,
+            "SphereBVH::intersect_packet: rays must share one origin");
+    dx[l] = rays[l].direction.x;
+    dy[l] = rays[l].direction.y;
+    dz[l] = rays[l].direction.z;
+  }
+  const simd::SphereRays packet{count, rays[0].origin.x, rays[0].origin.y,
+                                rays[0].origin.z, dx, dy, dz, tmin, tmax};
+  simd::SphereHits out{closest, slot, visited};
+  require(table.sphere_packet(kernel_view(), packet, out),
+          "SphereBVH: traversal stack overflow");
+  for (int l = 0; l < count; ++l) {
+    counters.bvh_nodes_visited += visited[l];
+    hits[l] = hit_of(rays[l], closest[l], slot[l]);
+  }
+}
+
+SphereHit SphereBVH::hit_of(const Ray& ray, Real closest, Index slot) const {
+  SphereHit hit;
   if (slot >= 0) {
-    // Same expression and inputs as the old per-accept update, deferred
-    // to the winning sphere so the leaf loop only tracks (closest, slot).
+    // The nearest sphere's normal, from the same inputs in either path.
     const Vec3f c = centers_[static_cast<std::size_t>(slot)];
     hit.t = closest;
     hit.primitive = prim_order_[static_cast<std::size_t>(slot)];
     hit.normal = normalize(ray.origin + ray.direction * closest - c);
   }
-  counters.bvh_nodes_visited += visited;
   return hit;
 }
 
@@ -215,7 +240,7 @@ int SphereBVH::max_depth() const { return nodes_.empty() ? 0 : depth_of(0); }
 
 int SphereBVH::depth_of(Index node_index) const {
   const Node& node = nodes_[static_cast<std::size_t>(node_index)];
-  if (node.is_leaf()) return 1;
+  if (is_leaf(node)) return 1;
   return 1 + std::max(depth_of(node_index + 1), depth_of(node.right_or_first));
 }
 
@@ -226,12 +251,13 @@ void SphereBVH::validate(std::span<const Vec3f> centers) const {
   std::vector<char> seen(centers.size(), 0);
   for (std::size_t node_index = 0; node_index < nodes_.size(); ++node_index) {
     const Node& node = nodes_[node_index];
-    if (!node.is_leaf()) {
+    if (!is_leaf(node)) {
       require(node.right_or_first > static_cast<Index>(node_index) &&
                   node.right_or_first < static_cast<Index>(nodes_.size()),
               "SphereBVH::validate: bad child index");
       continue;
     }
+    const AABB leaf_box = box_of(node);
     for (Index s = node.right_or_first; s < node.right_or_first + node.count; ++s) {
       require(s >= 0 && s < static_cast<Index>(prim_order_.size()),
               "SphereBVH::validate: leaf slot out of range");
@@ -242,7 +268,7 @@ void SphereBVH::validate(std::span<const Vec3f> centers) const {
       const AABB sphere_box =
           AABB::of(centers[static_cast<std::size_t>(prim)], centers[static_cast<std::size_t>(prim)])
               .inflated(radius_);
-      require(node.box.contains(sphere_box.lo) && node.box.contains(sphere_box.hi),
+      require(leaf_box.contains(sphere_box.lo) && leaf_box.contains(sphere_box.hi),
               "SphereBVH::validate: primitive outside its leaf box");
     }
   }

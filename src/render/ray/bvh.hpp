@@ -4,7 +4,7 @@
 // roughly O(N log N)" and traversal finds ray/sphere hits "with a cost
 // that is sub-linear in the number of particles".
 //
-// Binned-SAH builder over 32-byte nodes in depth-first layout; leaves
+// Binned-SAH builder over 40-byte nodes in depth-first layout; leaves
 // reference a permuted primitive index array. The build cost is exactly
 // the "additional setup phase" the paper's performance-counter analysis
 // attributes raycasting's extra computation to — the harness times
@@ -15,6 +15,7 @@
 
 #include "cluster/counters.hpp"
 #include "common/aabb.hpp"
+#include "common/simd_kernels.hpp"
 #include "render/camera.hpp"
 
 namespace eth {
@@ -39,7 +40,7 @@ public:
   bool empty() const { return prim_order_.empty(); }
   Index num_primitives() const { return static_cast<Index>(prim_order_.size()); }
   Index num_nodes() const { return static_cast<Index>(nodes_.size()); }
-  AABB bounds() const { return nodes_.empty() ? AABB::empty() : nodes_[0].box; }
+  AABB bounds() const { return nodes_.empty() ? AABB::empty() : box_of(nodes_[0]); }
   Real radius() const { return radius_; }
 
   /// Resident size (the memoization layer's byte budget).
@@ -50,9 +51,26 @@ public:
                               3 * cx_.size() * sizeof(Real));
   }
 
-  /// Nearest sphere intersection along `ray` within (tmin, tmax).
+  /// Nearest sphere intersection along `ray` within (tmin, tmax): the
+  /// scalar reference traversal.
   SphereHit intersect(const Ray& ray, Real tmin, Real tmax,
                       cluster::PerfCounters& counters) const;
+
+  /// Lanes of the widest kernel table (AVX2): the largest packet.
+  static constexpr int kMaxPacket = 8;
+
+  /// intersect() for `count` (1..table.width) rays sharing one origin,
+  /// traced as one packet through `table`'s sphere_packet kernel. Every
+  /// hit and the node visits added to `counters` equal those of
+  /// intersect() ray by ray.
+  void intersect_packet(const simd::KernelTable& table, const Ray* rays, int count,
+                        Real tmin, Real tmax, SphereHit* hits,
+                        cluster::PerfCounters& counters) const;
+
+  /// The tree as the sphere_packet kernel reads it (non-empty trees).
+  simd::SphereBvhView kernel_view() const {
+    return {nodes_.data(), cx_.data(), cy_.data(), cz_.data(), radius_};
+  }
 
   /// Depth of the tree (diagnostics / ablation benches).
   int max_depth() const;
@@ -63,15 +81,17 @@ public:
   void validate(std::span<const Vec3f> centers) const;
 
 private:
-  struct Node {
-    AABB box;
-    // Interior: left child = index + 1, right child = `right_or_first`.
-    // Leaf: `right_or_first` = first primitive slot, `count` > 0.
-    Index right_or_first = 0;
-    Index count = 0; ///< 0 for interior nodes
+  // Interior: left child = index + 1, right child = `right_or_first`.
+  // Leaf: `right_or_first` = first primitive slot, `count` > 0. The
+  // kernel table's node type, so the packet kernel reads the tree as is.
+  using Node = simd::BvhNode;
 
-    bool is_leaf() const { return count > 0; }
-  };
+  static AABB box_of(const Node& node) {
+    return AABB::of({node.lo[0], node.lo[1], node.lo[2]},
+                    {node.hi[0], node.hi[1], node.hi[2]});
+  }
+  static bool is_leaf(const Node& node) { return node.count > 0; }
+  SphereHit hit_of(const Ray& ray, Real closest, Index slot) const;
 
   Index build_recursive(std::span<const Vec3f> centers, Index begin, Index end,
                         SplitMethod split, int max_leaf_size, int depth);
@@ -80,8 +100,8 @@ private:
   std::vector<Node> nodes_;
   std::vector<Index> prim_order_;
   std::vector<Vec3f> centers_; ///< copy in BVH order for cache-coherent leaves
-  // Leaf-order SoA copies of the centers: the SIMD leaf kernel loads W
-  // contiguous spheres per axis (DESIGN.md §14).
+  // Leaf-order SoA copies of the centers for the packet kernel
+  // (DESIGN.md §14).
   std::vector<Real> cx_, cy_, cz_;
   Real radius_ = 0;
 };

@@ -32,6 +32,60 @@ Vec4f shade_headlight(Vec3f normal, Vec3f ray_dir, Vec4f base, Real ambient) {
 // cluster::CounterShards).
 constexpr Index kRowGrain = 4;
 
+/// Inclusive pixel rectangle; empty unless x0 <= x1 and y0 <= y1.
+struct PixelRect {
+  Index x0 = 0, y0 = 0, x1 = -1, y1 = -1;
+
+  bool holds_row(Index py) const { return x0 <= x1 && py >= y0 && py <= y1; }
+};
+
+/// The pixels whose primary rays can enter `box`: the bounding rectangle
+/// of its 8 corners projected through `frame` in double precision,
+/// widened by a 2-pixel margin (far above the float rounding of ray
+/// generation and the slab test) and clipped to the image. The whole
+/// image when a corner lies at or behind the eye plane, where the
+/// projection of the box is no longer bounded by its corners', or when
+/// a corner does not project to a finite point.
+PixelRect screen_rect(const CameraFrame& frame, const AABB& box, Index width,
+                      Index height) {
+  const PixelRect full{0, 0, width - 1, height - 1};
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double u_lo = kInf, u_hi = -kInf, v_lo = kInf, v_hi = -kInf;
+  for (int corner = 0; corner < 8; ++corner) {
+    const Vec3f c{(corner & 1) != 0 ? box.hi.x : box.lo.x,
+                  (corner & 2) != 0 ? box.hi.y : box.lo.y,
+                  (corner & 4) != 0 ? box.hi.z : box.lo.z};
+    const double p[3] = {double(c.x) - double(frame.origin.x),
+                         double(c.y) - double(frame.origin.y),
+                         double(c.z) - double(frame.origin.z)};
+    const auto along = [&](Vec3f axis) {
+      return p[0] * double(axis.x) + p[1] * double(axis.y) + p[2] * double(axis.z);
+    };
+    const double z = along(frame.forward);
+    if (!(z > 0)) return full;
+    // Inverse of CameraFrame::ray: pixel center px has
+    // ndc_x = 2 (px + 0.5) / width - 1 and ndc_x * half_w = x / z.
+    const double u = (along(frame.right) / (z * double(frame.half_w)) + 1) * 0.5 *
+                         double(width) - 0.5;
+    const double v = (1 - along(frame.up) / (z * double(frame.half_h))) * 0.5 *
+                         double(height) - 0.5;
+    if (!std::isfinite(u) || !std::isfinite(v)) return full;
+    u_lo = std::min(u_lo, u);
+    u_hi = std::max(u_hi, u);
+    v_lo = std::min(v_lo, v);
+    v_hi = std::max(v_hi, v);
+  }
+  constexpr double kMargin = 2;
+  const auto first = [](double lo, Index n) {
+    return static_cast<Index>(std::clamp(std::floor(lo - kMargin), 0.0, double(n)));
+  };
+  const auto last = [](double hi, Index n) {
+    return static_cast<Index>(std::clamp(std::ceil(hi + kMargin), -1.0, double(n - 1)));
+  };
+  return {first(u_lo, width), first(v_lo, height), last(u_hi, width),
+          last(v_hi, height)};
+}
+
 } // namespace
 
 MinMaxGrid::MinMaxGrid(const StructuredGrid& grid, const Field& field,
@@ -160,25 +214,50 @@ void RaycastRenderer::render_spheres(const PointSet& points, const Camera& camer
     scalars = &points.point_fields().get(options.scalar_field);
 
   const CameraFrame frame = camera.frame(width, height);
+  // Only pixels inside the root box's screen rectangle are traced. Every
+  // other ray misses the root, and is recorded as the traversal records
+  // a root miss: one ray cast, one node visited (none in an empty tree).
+  const PixelRect rect =
+      bvh.empty() ? PixelRect{} : screen_rect(frame, bvh.bounds(), width, height);
+  const Index root_miss_visits = bvh.empty() ? 0 : 1;
+  // With a SIMD table, each run of table->width pixels of a row is one
+  // packet; every lane's hit and visit count equal intersect()'s.
+  const simd::KernelTable* table = simd::active_kernels();
   const Index n_chunks = plan_chunks(height, kRowGrain);
   cluster::CounterShards shards(n_chunks);
   parallel_for_chunks(0, height, n_chunks, [&](Index chunk, Index y0, Index y1) {
     cluster::PerfCounters& local = shards.at(chunk);
+    const auto shade = [&](Index px, Index py, const Ray& ray, const SphereHit& hit) {
+      if (!hit.valid()) return;
+      const Vec4f base = scalars != nullptr
+                             ? options.colormap->map(scalars->get(hit.primitive))
+                             : options.uniform_color;
+      const Vec4f color =
+          shade_headlight(hit.normal, ray.direction, base, options.ambient);
+      const Vec3f p = ray.origin + ray.direction * hit.t;
+      image.depth_test_set(px, py, color, camera.eye_depth(p));
+    };
+    Ray rays[SphereBVH::kMaxPacket];
+    SphereHit hits[SphereBVH::kMaxPacket];
     for (Index py = y0; py < y1; ++py) {
-      for (Index px = 0; px < width; ++px) {
-        const Ray ray = frame.ray(px, py);
-        ++local.rays_cast;
-        if (bvh.empty()) continue;
-        const SphereHit hit =
-            bvh.intersect(ray, camera.znear(), camera.zfar(), local);
-        if (!hit.valid()) continue;
-        const Vec4f base = scalars != nullptr
-                               ? options.colormap->map(scalars->get(hit.primitive))
-                               : options.uniform_color;
-        const Vec4f color =
-            shade_headlight(hit.normal, ray.direction, base, options.ambient);
-        const Vec3f p = ray.origin + ray.direction * hit.t;
-        image.depth_test_set(px, py, color, camera.eye_depth(p));
+      const Index traced = rect.holds_row(py) ? rect.x1 - rect.x0 + 1 : 0;
+      local.rays_cast += width;
+      local.bvh_nodes_visited += root_miss_visits * (width - traced);
+      if (traced == 0) continue;
+      if (table == nullptr) {
+        for (Index px = rect.x0; px <= rect.x1; ++px) {
+          const Ray ray = frame.ray(px, py);
+          shade(px, py, ray, bvh.intersect(ray, camera.znear(), camera.zfar(), local));
+        }
+        continue;
+      }
+      for (Index px = rect.x0; px <= rect.x1; px += table->width) {
+        const int count =
+            static_cast<int>(std::min<Index>(table->width, rect.x1 + 1 - px));
+        for (int l = 0; l < count; ++l) rays[l] = frame.ray(px + l, py);
+        bvh.intersect_packet(*table, rays, count, camera.znear(), camera.zfar(), hits,
+                             local);
+        for (int l = 0; l < count; ++l) shade(px + l, py, rays[l], hits[l]);
       }
     }
   });

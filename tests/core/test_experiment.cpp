@@ -4,7 +4,10 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -69,6 +72,50 @@ TEST(ExperimentSpec, RejectsSubUnityScaleFactors) {
   spec = valid_hacc();
   spec.data_scale = 125.0;
   spec.pixel_scale = 16.0;
+  EXPECT_NO_THROW(spec.validate());
+}
+
+TEST(ExperimentSpec, RejectsEmptyImagesAndDegenerateData) {
+  // Each of these used to pass validate() (and eth_explore --dry-run)
+  // and fail later inside a rank with an unrelated message.
+  const std::vector<std::pair<const char*, void (*)(ExperimentSpec&)>> cases = {
+      {"image_size 0x0",
+       [](ExperimentSpec& s) { s.viz.image_width = s.viz.image_height = 0; }},
+      {"image_size -4x8", [](ExperimentSpec& s) { s.viz.image_width = -4; }},
+      {"particles -5", [](ExperimentSpec& s) { s.hacc.num_particles = -5; }},
+      {"halos -1", [](ExperimentSpec& s) { s.hacc.num_halos = -1; }},
+      {"halos 0", [](ExperimentSpec& s) { s.hacc.num_halos = 0; }},
+      {"grid 1x1x1", [](ExperimentSpec& s) { s.xrage.dims = {1, 1, 1}; }},
+      {"grid 0x4x4", [](ExperimentSpec& s) { s.xrage.dims = {0, 4, 4}; }},
+      {"grid 4x4x1", [](ExperimentSpec& s) { s.xrage.dims = {4, 4, 1}; }},
+  };
+  for (const auto& [name, mutate] : cases) {
+    ExperimentSpec spec = valid_hacc();
+    mutate(spec);
+    EXPECT_THROW(spec.validate(), Error) << name;
+  }
+  ExperimentSpec spec = valid_hacc();
+  spec.hacc.num_particles = 0; // an empty slab is a valid (if dull) run
+  spec.viz.image_width = spec.viz.image_height = 1;
+  spec.xrage.dims = {2, 2, 2};
+  EXPECT_NO_THROW(spec.validate());
+}
+
+TEST(ExperimentSpec, RejectsNonFiniteScalesAndFaultDelay) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {inf, std::nan("")}) {
+    ExperimentSpec spec = valid_hacc();
+    spec.data_scale = bad;
+    EXPECT_THROW(spec.validate(), Error) << "data_scale " << bad;
+    spec = valid_hacc();
+    spec.pixel_scale = bad;
+    EXPECT_THROW(spec.validate(), Error) << "pixel_scale " << bad;
+    spec = valid_hacc();
+    spec.fault.delay_ms = bad;
+    EXPECT_THROW(spec.validate(), Error) << "fault_delay_ms " << bad;
+  }
+  ExperimentSpec spec = valid_hacc();
+  spec.fault.delay_ms = 0.0;
   EXPECT_NO_THROW(spec.validate());
 }
 

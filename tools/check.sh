@@ -8,13 +8,34 @@
 #
 # Every ctest call passes --no-tests=error: without it, a -R filter
 # that matches nothing prints "No tests were found!!!" and exits 0, so a
-# renamed or deleted test would turn its gate into a silent no-op.
+# renamed or deleted test would turn its gate into a silent no-op. A
+# gate that names several tests (`A|B|...`) goes through run_gate, which
+# also fails when any one alternative lists no test.
 #
 # Usage: tools/check.sh [jobs]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 jobs="${1:-$(nproc)}"
+
+# run_gate <build dir> <regex>: run the tests matching <regex>, after
+# checking that each of its |-separated alternatives matches at least
+# one test on its own. --no-tests=error alone fails only a regex that
+# matches nothing at all, so a renamed test inside a multi-name gate
+# would drop out of the gate silently.
+run_gate() {
+  local dir="$1" regex="$2" alt listed
+  local -a alternatives
+  IFS='|' read -ra alternatives <<< "${regex}"
+  for alt in "${alternatives[@]}"; do
+    listed="$(ctest --test-dir "${dir}" -N -R "${alt}")"
+    if ! grep -q '^Total Tests: [1-9]' <<< "${listed}"; then
+      echo "check.sh: gate alternative '${alt}' matches no test in ${dir}" >&2
+      return 1
+    fi
+  done
+  ctest --no-tests=error --test-dir "${dir}" --output-on-failure -R "${regex}"
+}
 
 run_variant() {
   local dir="$1"
@@ -38,7 +59,7 @@ run_variant build-release -DCMAKE_BUILD_TYPE=Release
 # (Harness.CacheOff*). Run the gate by name so a filter typo can't
 # silently skip it.
 echo "==== cache equivalence (build-release) ===="
-ctest --no-tests=error --test-dir build-release --output-on-failure -R 'CacheEquivalence|Harness.CacheOff'
+run_gate build-release 'CacheEquivalence|Harness.CacheOff'
 
 # SimdGate (DESIGN.md §14): the lane layer promises every image,
 # counter table and robustness row bit-identical across ETH_SIMD=scalar
@@ -48,7 +69,7 @@ ctest --no-tests=error --test-dir build-release --output-on-failure -R 'CacheEqu
 # pin the ISA internally, so one pass covers every dispatch path the
 # host supports. Run it by name so a filter typo can't silently skip it.
 echo "==== simd gate (build-release) ===="
-ctest --no-tests=error --test-dir build-release --output-on-failure -R 'SimdGate'
+run_gate build-release 'SimdGate'
 
 # Trace gate (DESIGN.md §11): run a miniature faulted sweep end-to-end
 # with ETH_TRACE on and validate the exported Chrome trace — JSON
@@ -60,8 +81,7 @@ ctest --no-tests=error --test-dir build-release --output-on-failure -R 'SimdGate
 # e2e trace test, run here by name so a filter typo cannot silently
 # skip it.
 echo "==== trace gate (build-release) ===="
-ctest --no-tests=error --test-dir build-release --output-on-failure \
-  -R 'Trace.SocketCoupledExchangeTracesEveryTransportPhase'
+run_gate build-release 'Trace.SocketCoupledExchangeTracesEveryTransportPhase'
 trace_json="$(mktemp /tmp/eth_trace_gate.XXXXXX.json)"
 ETH_TRACE="${trace_json}" ./build-release/tools/eth_explore tools/trace_gate.cfg
 ./build-release/tools/eth_trace_check "${trace_json}" \
@@ -79,8 +99,7 @@ rm -f "${trace_json}"
 # codecs. Run the codec, LZ and compression-hardening suites by name so
 # a filter typo cannot silently skip them.
 echo "==== codec gate (build-release) ===="
-ctest --no-tests=error --test-dir build-release --output-on-failure \
-  -R 'CodecEquivalence|LzCodec|GoldenWireFormat|QuantizePack|CompressDataset'
+run_gate build-release 'CodecEquivalence|LzCodec|GoldenWireFormat|QuantizePack|CompressDataset'
 
 # TSan with a multi-worker pool even on small machines: a 1-worker pool
 # runs loops inline and would hide every race from the sanitizer. The
@@ -96,7 +115,7 @@ ETH_THREADS="${ETH_THREADS:-4}" TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" 
 # filtered out of the sanitized pass by accident.
 echo "==== trace tests (build-tsan) ===="
 ETH_THREADS="${ETH_THREADS:-4}" TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-  ctest --no-tests=error --test-dir build-tsan --output-on-failure -R 'Trace'
+  run_gate build-tsan 'Trace'
 
 # SimdGate under TSan: the vector march and blend kernels run inside
 # the same pool fan-out as the scalar paths, and the dispatch table is
@@ -105,7 +124,7 @@ ETH_THREADS="${ETH_THREADS:-4}" TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" 
 # introduce shared mutable state between pool workers.
 echo "==== simd gate (build-tsan) ===="
 ETH_THREADS="${ETH_THREADS:-4}" TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-  ctest --no-tests=error --test-dir build-tsan --output-on-failure -R 'SimdGate'
+  run_gate build-tsan 'SimdGate'
 
 # CodecGate under TSan: frame compression runs on stage workers and
 # rank threads concurrently, and the codec resolution (ETH_WIRE_CODEC)
@@ -113,7 +132,7 @@ ETH_THREADS="${ETH_THREADS:-4}" TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" 
 # verifies the once-resolution and the atomic counter tees.
 echo "==== codec gate (build-tsan) ===="
 ETH_THREADS="${ETH_THREADS:-4}" TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-  ctest --no-tests=error --test-dir build-tsan --output-on-failure -R 'CodecEquivalence|LzCodec'
+  run_gate build-tsan 'CodecEquivalence|LzCodec'
 
 # SweepGate (DESIGN.md §12): the concurrent sweep scheduler promises
 # bit-identical artifacts at any ETH_SWEEP_WORKERS, which means
@@ -126,8 +145,7 @@ ETH_THREADS="${ETH_THREADS:-4}" TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" 
 echo "==== sweep gate (build-tsan, ETH_SWEEP_WORKERS=4) ===="
 ETH_THREADS="${ETH_THREADS:-4}" ETH_SWEEP_WORKERS="${ETH_SWEEP_WORKERS:-4}" \
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-  ctest --no-tests=error --test-dir build-tsan --output-on-failure \
-  -R 'SweepScheduler|SweepEquivalence|TaskGroup'
+  run_gate build-tsan 'SweepScheduler|SweepEquivalence|TaskGroup'
 
 # AsyncGate (DESIGN.md §13): the staged pipeline engine promises
 # depth-1 bit-identity with the pre-refactor serial loop and
@@ -142,8 +160,7 @@ echo "==== async gate (build-tsan, ETH_PIPELINE_DEPTH=2) ===="
 ETH_THREADS="${ETH_THREADS:-4}" ETH_SWEEP_WORKERS="${ETH_SWEEP_WORKERS:-2}" \
   ETH_PIPELINE_DEPTH="${ETH_PIPELINE_DEPTH:-2}" \
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-  ctest --no-tests=error --test-dir build-tsan --output-on-failure \
-  -R 'PipelineEquivalence|StagePipeline|BoundedChannel|PhaseAccounting'
+  run_gate build-tsan 'PipelineEquivalence|StagePipeline|BoundedChannel|PhaseAccounting'
 
 # Second half of the async gate, on the release build: resolve the gate
 # sweep with --dry-run (strict spec validation must accept it and print
@@ -181,8 +198,8 @@ asan_variant() {
   echo "==== build ${dir} ===="
   cmake --build "${dir}" -j "${jobs}"
   echo "==== test ${dir} (data + insitu + buffer suites) ===="
-  ctest --no-tests=error --test-dir "${dir}" --output-on-failure \
-    -R 'Buffer|CowArray|DataPlane|WireMessage|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset|Error|XrageGenerator|HaccGenerator|Rng|VtkIo|Compositor|ImageBuffer|ArtifactCache|CacheEquivalence'
+  run_gate "${dir}" \
+    'Buffer|CowArray|DataPlane|WireMessage|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset|Error|XrageGenerator|HaccGenerator|Rng|VtkIo|Compositor|ImageBuffer|ArtifactCache|CacheEquivalence'
 }
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" asan_variant
 
