@@ -93,35 +93,11 @@ void BM_SocketRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_SocketRoundTrip)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
 
-// ----------------------------------------- zero-copy hand-off ablation
-// Before/after comparison for the zero-copy data plane: the legacy path
-// serializes into a contiguous vector and copies it through the queue;
-// the zero-copy path hands segment lists across with the dataset as
-// keepalive and deserializes by aliasing. The copied/borrowed counters
-// report payload bytes memcpy'd per hand-off.
-
-void BM_TimestepHandoffLegacy(benchmark::State& state) {
-  const PointSet& ps = dataset(state.range(0));
-  std::size_t iters = 0;
-  reset_data_plane_counters();
-  for (auto _ : state) {
-    auto [a, b] = insitu::make_inproc_channel();
-    // Pre-refactor shape: contiguous serialize + framed byte send.
-    a->send_framed(serialize_dataset(ps));
-    const auto received = deserialize_dataset(b->recv_framed());
-    benchmark::DoNotOptimize(received->num_points());
-    ++iters;
-  }
-  const DataPlaneCounters c = data_plane_counters();
-  state.counters["copied_per_xfer"] = double(c.bytes_copied) / double(iters);
-  state.counters["borrowed_per_xfer"] = double(c.bytes_borrowed) / double(iters);
-  state.SetBytesProcessed(
-      static_cast<int64_t>(state.iterations() * serialize_dataset(ps).size()));
-}
-BENCHMARK(BM_TimestepHandoffLegacy)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
+// ----------------------------------------- zero-copy hand-off
+// The harness's hand-off: segment lists cross the in-proc queue with
+// the dataset as keepalive, and the receiver deserializes by aliasing.
+// The copied/borrowed counters report payload bytes memcpy'd and
+// passed by reference per hand-off.
 
 void BM_TimestepHandoffZeroCopy(benchmark::State& state) {
   const Index n = state.range(0);

@@ -9,7 +9,8 @@
 // whole point of the lane abstraction. sphere_packet and march_iso are
 // timed through the sphere and volume raycasters (their scalar twins
 // are SphereBVH::intersect and the loop inside render_volume_scene),
-// with ETH_SIMD pinned per run via the dispatch override.
+// with ETH_SIMD pinned per run via the dispatch override; the
+// sphere_packet row runs both sides on a one-worker pool.
 
 #include <algorithm>
 #include <cmath>
@@ -26,6 +27,7 @@
 #include "common/timer.hpp"
 #include "data/structured_grid.hpp"
 #include "insitu/viz.hpp"
+#include "parallel/thread_pool.hpp"
 #include "render/ray/raycaster.hpp"
 #include "sim/hacc_generator.hpp"
 
@@ -96,11 +98,18 @@ Row bench_sphere_packet() {
   Row row{"sphere_packet(raycast_spheres)", n_images * image_dim * image_dim, 0, 0,
           false};
   Frames scalar, simd;
+  // Both sides at one pool thread, as bench_parallel_render times its
+  // one-worker column: the row then compares traversals, not how the
+  // pool's workers were scheduled (at the default pool the 8 images
+  // take only 7-20 ms, so a little CPU steal moved the ratio).
+  ThreadPool pool(1);
+  set_global_pool(&pool);
   simd::set_isa_override("scalar");
   row.scalar_s = render(scalar);
   simd::set_isa_override("native");
   row.simd_s = render(simd);
   simd::set_isa_override(nullptr);
+  set_global_pool(nullptr);
   row.identical = scalar.nodes_visited == simd.nodes_visited;
   for (std::size_t i = 0; i < scalar.images.size(); ++i) {
     const ImageBuffer& a = scalar.images[i];

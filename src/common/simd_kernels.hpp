@@ -65,13 +65,11 @@ struct BvhNode {
   std::int64_t count = 0;          ///< spheres in a leaf; 0 for interior nodes
 };
 
-/// POD view of a non-empty SphereBVH: its nodes and the leaf-order SoA
-/// sphere centers, all spheres of one radius.
+/// POD view of a non-empty SphereBVH: its nodes and its sphere centers
+/// in leaf (slot) order, xyz interleaved, all spheres of one radius.
 struct SphereBvhView {
   const BvhNode* nodes = nullptr;
-  const float* cx = nullptr;
-  const float* cy = nullptr;
-  const float* cz = nullptr;
+  const float* centers = nullptr; ///< slot s at centers[3 * s .. 3 * s + 2]
   float radius = 0;
 };
 

@@ -83,8 +83,8 @@ bool sphere_packet(const SphereBvhView& bvh, const SphereRays& rays,
   // lane accepts spheres in slot order against its own closest.
   const auto leaf_lanes = [&](std::int64_t first, std::int64_t n, unsigned lanes) {
     for (std::int64_t s = first; s < first + n; ++s) {
-      const float ocx = o[0] - bvh.cx[s], ocy = o[1] - bvh.cy[s],
-                  ocz = o[2] - bvh.cz[s];
+      const float* c3 = bvh.centers + 3 * s;
+      const float ocx = o[0] - c3[0], ocy = o[1] - c3[1], ocz = o[2] - c3[2];
       const float c = (ocx * ocx + ocy * ocy + ocz * ocz) - rr;
       const pf half_b = pf::broadcast(ocx) * d[0] + pf::broadcast(ocy) * d[1] +
                         pf::broadcast(ocz) * d[2];

@@ -462,52 +462,40 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
         viz_end = std::make_unique<insitu::FaultInjector>(
             std::move(viz_end), spec.fault, std::uint64_t(2 * r + 1));
       }
-      if (spec.transport_quantization_bits > 0) {
-        const std::vector<std::uint8_t> payload = [&] {
-          const trace::Span span("serialize");
-          return compress_dataset(*slot.sim_data, spec.transport_quantization_bits);
-        }();
-        const auto delivered =
-            insitu::transfer_with_retry(*sim_end, *viz_end, payload,
-                                        spec.transfer_retry, slot.robustness,
-                                        wire_codec);
-        if (delivered.has_value()) {
-          const trace::Span span("deserialize");
-          slot.viz_data = decompress_dataset(*delivered);
-        }
-        // Quantization is lossy: the delivered content is a pure
-        // function of (input, bit width), so chain the provenance.
-        slot.viz_fp = slot.data_fp != 0
-                          ? fingerprint_chain(
-                                slot.data_fp,
-                                strprintf("quantized bits=%d",
-                                          spec.transport_quantization_bits))
-                          : 0;
-      } else {
-        // Zero-copy hand-off: the wire message borrows the dataset's
-        // bulk arrays (kept alive by the shared_ptr keepalive) and the
-        // delivered message's segments back the received dataset
-        // copy-on-write, so the payload crosses the channel without a
-        // userspace memcpy.
-        std::shared_ptr<const DataSet> shared = std::move(slot.sim_data);
-        const WireMessage msg = [&] {
-          const trace::Span span("serialize");
-          return wire_message_for_dataset(shared);
-        }();
-        const auto delivered =
-            insitu::transfer_with_retry(*sim_end, *viz_end, msg,
-                                        spec.transfer_retry, slot.robustness,
-                                        wire_codec);
-        if (delivered.has_value()) {
-          const trace::Span span("deserialize");
-          slot.viz_data = deserialize_dataset(*delivered);
-        }
-        // The lossless round trip is bit-exact: same content identity.
-        slot.viz_fp = slot.data_fp;
+      // One hand-off for both payload kinds. Lossless: the wire message
+      // borrows the dataset's bulk arrays (kept alive by the shared_ptr
+      // keepalive) and the delivered message's segments back the
+      // received dataset copy-on-write, so the payload crosses the
+      // channel without a userspace memcpy. Quantized: the packed lossy
+      // payload travels as one owned segment, and the frame decoder
+      // delivers it as one segment again (a stored frame's payload
+      // slice, or the decompressed buffer of an lz4 frame).
+      const int bits = spec.transport_quantization_bits;
+      std::shared_ptr<const DataSet> shared = std::move(slot.sim_data);
+      const WireMessage msg = [&] {
+        const trace::Span span("serialize");
+        if (bits == 0) return wire_message_for_dataset(shared);
+        WireMessage packed;
+        packed.append_owned(Buffer::adopt(compress_dataset(*shared, bits)));
+        return packed;
+      }();
+      const auto delivered =
+          insitu::transfer_with_retry(*sim_end, *viz_end, msg, spec.transfer_retry,
+                                      slot.robustness, wire_codec);
+      if (delivered.has_value()) {
+        const trace::Span span("deserialize");
+        slot.viz_data = bits == 0 ? deserialize_dataset(*delivered)
+                                  : decompress_dataset(delivered->contiguous_bytes());
       }
+      // The lossless round trip is bit-exact: same content identity.
+      // Quantization is lossy: the delivered content is a pure function
+      // of (input, bit width), so chain the provenance.
+      slot.viz_fp = bits > 0 && slot.data_fp != 0
+                        ? fingerprint_chain(slot.data_fp,
+                                            strprintf("quantized bits=%d", bits))
+                        : slot.data_fp;
       slot.transfer_cpu += xfer_timer.elapsed();
       slot.transferred = sim_end->bytes_sent();
-      slot.sim_data.reset();
     };
 
     // ---- stage "viz": first collective-bearing stage, always on the

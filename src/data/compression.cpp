@@ -180,7 +180,7 @@ void compress_array(std::span<const Real> values, int bits, ByteWriter& header,
   quantize_pack(values, bits, lo, hi, payload);
 }
 
-std::size_t decompress_array(ByteReader& header, std::span<const std::uint8_t> payload,
+std::size_t decompress_array(WireReader& header, std::span<const std::uint8_t> payload,
                              std::size_t offset, int bits, std::vector<Real>& out) {
   const Real lo = header.get_f32();
   const Real hi = header.get_f32();
@@ -284,7 +284,7 @@ namespace {
 
 std::unique_ptr<DataSet> decompress_dataset_body(
     std::span<const std::uint8_t> bytes, std::uint64_t header_size) {
-  ByteReader header(bytes.subspan(8, header_size));
+  WireReader header(bytes.subspan(8, header_size));
   const std::span<const std::uint8_t> payload = bytes.subspan(8 + header_size);
   require_transport(header.remaining() >= 4 && header.get_u32() == kMagic,
                     TransportErrorCode::kCorruptFrame,

@@ -73,64 +73,6 @@ void ByteWriter::put_bytes(const void* data, std::size_t n) {
   buf_.insert(buf_.end(), p, p + n);
 }
 
-// ---------------------------------------------------------------- reader
-
-std::uint8_t ByteReader::get_u8() {
-  require(remaining() >= 1, "ByteReader: truncated input (u8)");
-  return data_[pos_++];
-}
-
-std::uint32_t ByteReader::get_u32() {
-  require(remaining() >= 4, "ByteReader: truncated input (u32)");
-  std::uint32_t v;
-  std::memcpy(&v, data_.data() + pos_, sizeof v);
-  pos_ += sizeof v;
-  if constexpr (std::endian::native == std::endian::big) v = bswap32(v);
-  return v;
-}
-
-std::uint64_t ByteReader::get_u64() {
-  require(remaining() >= 8, "ByteReader: truncated input (u64)");
-  std::uint64_t v;
-  std::memcpy(&v, data_.data() + pos_, sizeof v);
-  pos_ += sizeof v;
-  if constexpr (std::endian::native == std::endian::big) v = bswap64(v);
-  return v;
-}
-
-float ByteReader::get_f32() {
-  const std::uint32_t bits = get_u32();
-  float v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-
-double ByteReader::get_f64() {
-  const std::uint64_t bits = get_u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-
-std::string ByteReader::get_string() {
-  const std::uint32_t n = get_u32();
-  require(remaining() >= n, "ByteReader: truncated input (string)");
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
-  pos_ += n;
-  return s;
-}
-
-void ByteReader::get_bytes(void* out, std::size_t n) {
-  require(remaining() >= n, "ByteReader: truncated input (bytes)");
-  std::memcpy(out, data_.data() + pos_, n);
-  pos_ += n;
-}
-
-void ByteReader::skip(std::size_t n) {
-  require(remaining() >= n, "ByteReader: truncated input (skip)");
-  pos_ += n;
-}
-
 // ----------------------------------------------------------- wire reader
 
 WireReader::WireReader(const WireMessage& msg)
@@ -214,15 +156,6 @@ void WireReader::get_bytes(void* out, std::size_t n) {
 
 // ---------------------------------------------------------------- fields
 
-void serialize_field(ByteWriter& w, const Field& f) {
-  w.put_string(f.name());
-  w.put_u32(static_cast<std::uint32_t>(f.components()));
-  w.put_u8(f.association() == FieldAssociation::kPoint ? 0 : 1);
-  w.put_i64(f.tuples());
-  static_assert(sizeof(Real) == sizeof(float), "wire format assumes 32-bit Real");
-  w.put_bytes(f.values().data(), f.values().size() * sizeof(Real));
-}
-
 namespace {
 
 /// Elements in `count` groups of `per` T, for a count read from the
@@ -234,8 +167,6 @@ std::size_t array_length(const WireReader& r, Index count, std::size_t per) {
           "deserialize: array length exceeds the payload");
   return static_cast<std::size_t>(count) * per;
 }
-
-} // namespace
 
 Field deserialize_field(WireReader& r) {
   const std::string name = r.get_string();
@@ -250,26 +181,7 @@ Field deserialize_field(WireReader& r) {
   return f;
 }
 
-Field deserialize_field(ByteReader& r) {
-  WireReader wr(r.rest());
-  Field f = deserialize_field(wr);
-  r.skip(wr.consumed());
-  return f;
-}
-
-void serialize_field_collection(ByteWriter& w, const FieldCollection& fc) {
-  w.put_u32(static_cast<std::uint32_t>(fc.size()));
-  for (const Field& f : fc) serialize_field(w, f);
-}
-
-void deserialize_field_collection(ByteReader& r, FieldCollection& fc) {
-  const std::uint32_t n = r.get_u32();
-  for (std::uint32_t i = 0; i < n; ++i) fc.add(deserialize_field(r));
-}
-
 // --------------------------------------------------------------- dataset
-
-namespace {
 
 constexpr std::uint32_t kMagic = 0x45544844; // "ETHD"
 

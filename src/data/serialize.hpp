@@ -7,17 +7,15 @@
 // the interconnect. Little-endian POD layout; no compression (the paper
 // treats compression as a separate technique outside ETH's pipelines).
 //
-// Two serialization paths produce the SAME byte stream:
-//  * serialize_dataset / deserialize_dataset(span) — the legacy
-//    contiguous path (one flat vector, everything copied).
-//  * wire_message_for_dataset / deserialize_dataset(WireMessage) — the
-//    zero-copy path: small headers become owned segments, bulk arrays
-//    (field values, positions, mesh vertex/index arrays) become
-//    borrowed segments aliasing the live dataset, and the receiver
-//    adopts bulk arrays straight out of the receive buffer
-//    (copy-on-write on first mutation). The segment structure is
-//    invisible on the wire: flattening the message yields exactly the
-//    legacy byte stream.
+// One serializer, wire_message_for_dataset, builds the scatter-gather
+// form: small headers become owned segments, bulk arrays (field values,
+// positions, mesh vertex/index arrays) become borrowed segments aliasing
+// the live dataset. One reader, WireReader, parses it back:
+// deserialize_dataset(WireMessage) adopts bulk arrays straight out of
+// the receive buffer (copy-on-write on first mutation). The segment
+// structure is invisible on the wire. serialize_dataset and
+// deserialize_dataset(span) are one-call flat adapters over the two for
+// callers that hold one contiguous buffer (dump files, golden tests).
 
 #include <cstdint>
 #include <memory>
@@ -53,41 +51,15 @@ private:
   std::vector<std::uint8_t> buf_;
 };
 
-/// Bounds-checked cursor over a byte span; throws eth::Error on
-/// truncated input (a malformed transport message must not crash a run).
-class ByteReader {
-public:
-  explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
-
-  std::uint8_t get_u8();
-  std::uint32_t get_u32();
-  std::uint64_t get_u64();
-  std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
-  float get_f32();
-  double get_f64();
-  std::string get_string();
-  void get_bytes(void* out, std::size_t n);
-
-  std::size_t remaining() const { return data_.size() - pos_; }
-  bool at_end() const { return pos_ == data_.size(); }
-
-  /// Unconsumed bytes / cursor advance, for adapters that parse the
-  /// remainder through a WireReader.
-  std::span<const std::uint8_t> rest() const { return data_.subspan(pos_); }
-  void skip(std::size_t n);
-
-private:
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-};
-
 /// Bounds-checked cursor over a scatter-gather WireMessage (or a single
-/// span) with the same typed getters as ByteReader plus zero-copy bulk
-/// array reads: get_array() borrows a view into the underlying segment
-/// when the bytes are contiguous, refcounted (keepalive present) and
-/// aligned for the element type, and falls back to a private copy
-/// otherwise. Either way the read is counted against the data-plane
-/// bytes_borrowed / bytes_copied tallies.
+/// span): typed little-endian getters mirroring ByteWriter's puts, which
+/// throw eth::Error on truncated input (a malformed transport message
+/// must not crash a run), plus zero-copy bulk array reads: get_array()
+/// borrows a view into the underlying segment when the bytes are
+/// contiguous, refcounted (keepalive present) and aligned for the
+/// element type, and falls back to a private copy otherwise. Either way
+/// the read is counted against the data-plane bytes_borrowed /
+/// bytes_copied tallies.
 class WireReader {
 public:
   explicit WireReader(const WireMessage& msg);
@@ -148,7 +120,8 @@ ArrayChunk<T> WireReader::get_array(std::size_t count) {
 }
 
 /// Serialize any concrete DataSet (type tag included) into one flat
-/// vector (the legacy contiguous path; copies every bulk array).
+/// vector: wire_message_for_dataset(ds), flattened (copies every bulk
+/// array).
 std::vector<std::uint8_t> serialize_dataset(const DataSet& ds);
 
 /// Scatter-gather serialization: headers are owned segments, bulk
@@ -168,8 +141,9 @@ WireMessage wire_message_for_dataset(std::shared_ptr<const DataSet> ds);
 /// fingerprint equal exactly when they serialize to the same bytes.
 std::uint64_t dataset_fingerprint(const DataSet& ds);
 
-/// Reconstruct the concrete dataset from serialize_dataset output
-/// (every bulk array is copied into fresh owned storage).
+/// Reconstruct the concrete dataset from serialize_dataset output: the
+/// WireMessage reader over one unowned span, so every bulk array is
+/// copied into fresh owned storage.
 std::unique_ptr<DataSet> deserialize_dataset(std::span<const std::uint8_t> bytes);
 
 /// Alias-on-receive reconstruction: bulk arrays borrow the message's
@@ -177,12 +151,5 @@ std::unique_ptr<DataSet> deserialize_dataset(std::span<const std::uint8_t> bytes
 /// returned dataset keeps the backing buffers alive and copies-on-write
 /// when first mutated.
 std::unique_ptr<DataSet> deserialize_dataset(const WireMessage& msg);
-
-/// Field-level helpers shared with the VTK-style file IO.
-void serialize_field(ByteWriter& w, const Field& f);
-Field deserialize_field(ByteReader& r);
-Field deserialize_field(WireReader& r);
-void serialize_field_collection(ByteWriter& w, const FieldCollection& fc);
-void deserialize_field_collection(ByteReader& r, FieldCollection& fc);
 
 } // namespace eth

@@ -20,13 +20,15 @@
 // classified TransportError (common/error.hpp) rather than a hang or a
 // generic exception.
 //
-// Wire format: u64 little-endian length + message bytes. Length
-// prefixes above kMaxMessageBytes are rejected as kMessageTooLarge —
-// an implausible length means a corrupt or desynchronized stream.
-// Integrity-checked traffic additionally wraps each message in the
-// CRC32 frame of transport.hpp (send_framed/send_dataset). Receives
-// observe the transport's recv deadline (set_recv_deadline) so a dead
-// peer raises kTimeout instead of blocking forever.
+// Wire format: u64 little-endian length + message bytes, written with
+// one gathered sendmsg over the message's segments and read into one
+// refcounted Buffer. Length prefixes above kMaxMessageBytes are
+// rejected as kMessageTooLarge — an implausible length means a corrupt
+// or desynchronized stream. Integrity-checked traffic additionally
+// wraps each message in the CRC32 frame of transport.hpp
+// (send_framed_msg/send_dataset). Receives observe the transport's
+// recv deadline (set_recv_deadline) so a dead peer raises kTimeout
+// instead of blocking forever.
 
 #include <memory>
 #include <string>

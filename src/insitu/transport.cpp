@@ -6,7 +6,6 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
-#include <variant>
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
@@ -302,30 +301,9 @@ std::vector<std::uint8_t> frame_decode(std::span<const std::uint8_t> frame) {
   return frame_decode_msg(msg).flatten();
 }
 
-void Transport::send_msg(const WireMessage& msg) { send(msg.flatten()); }
-
-WireMessage Transport::recv_msg() {
-  WireMessage msg;
-  msg.append_owned(Buffer::adopt(recv()));
-  return msg;
-}
-
 // The framed wrappers are the single transport-layer instrumentation
 // point: every concrete transport (in-proc, TCP, fault-injected) funnels
 // through them, so spans here cover the whole send/recv taxonomy.
-
-void Transport::send_framed(std::span<const std::uint8_t> payload,
-                            WireCodec codec) {
-  const trace::Span span("transport.send");
-  std::vector<std::uint8_t> frame = frame_encode(payload, codec);
-  note_bytes_on_wire(frame.size());
-  send(std::move(frame));
-}
-
-std::vector<std::uint8_t> Transport::recv_framed() {
-  const trace::Span span("transport.recv");
-  return frame_decode(recv());
-}
 
 void Transport::send_framed_msg(const WireMessage& payload, WireCodec codec) {
   const trace::Span span("transport.send");
@@ -368,27 +346,24 @@ std::unique_ptr<DataSet> Transport::recv_dataset() {
 
 namespace {
 
-/// One direction of the in-process channel. Raw byte sends stay plain
-/// vectors (moved through untouched); scatter-gather sends keep their
+/// One direction of the in-process channel. Messages keep their
 /// segment list, so refcounted payload segments cross the queue with
 /// zero copies.
 struct Pipe {
-  using Item = std::variant<std::vector<std::uint8_t>, WireMessage>;
-
   std::mutex mutex;
   std::condition_variable arrived;
-  std::deque<Item> queue;
+  std::deque<WireMessage> queue;
   bool closed = false;
 
-  void push(Item item) {
+  void push(WireMessage msg) {
     {
       std::lock_guard<std::mutex> lock(mutex);
-      queue.push_back(std::move(item));
+      queue.push_back(std::move(msg));
     }
     arrived.notify_one();
   }
 
-  Item pop(double deadline_seconds) {
+  WireMessage pop(double deadline_seconds) {
     std::unique_lock<std::mutex> lock(mutex);
     const auto ready = [this] { return !queue.empty() || closed; };
     if (deadline_seconds > 0) {
@@ -403,9 +378,9 @@ struct Pipe {
     }
     require_transport(!queue.empty(), TransportErrorCode::kConnectionClosed,
                       "InProcChannel: peer endpoint destroyed while receiving");
-    Item item = std::move(queue.front());
+    WireMessage msg = std::move(queue.front());
     queue.pop_front();
-    return item;
+    return msg;
   }
 
   void close() {
@@ -424,11 +399,6 @@ public:
 
   ~InProcEndpoint() override {
     out_->close(); // wake a peer blocked on recv so it can fail cleanly
-  }
-
-  void send(std::vector<std::uint8_t> bytes) override {
-    sent_ += bytes.size();
-    out_->push(std::move(bytes));
   }
 
   void send_msg(const WireMessage& msg) override {
@@ -450,20 +420,7 @@ public:
     out_->push(std::move(queued));
   }
 
-  std::vector<std::uint8_t> recv() override {
-    Pipe::Item item = in_->pop(recv_deadline_);
-    if (auto* bytes = std::get_if<std::vector<std::uint8_t>>(&item))
-      return std::move(*bytes);
-    return std::get<WireMessage>(item).flatten();
-  }
-
-  WireMessage recv_msg() override {
-    Pipe::Item item = in_->pop(recv_deadline_);
-    if (auto* msg = std::get_if<WireMessage>(&item)) return std::move(*msg);
-    WireMessage wrapped;
-    wrapped.append_owned(Buffer::adopt(std::move(std::get<std::vector<std::uint8_t>>(item))));
-    return wrapped;
-  }
+  WireMessage recv_msg() override { return in_->pop(recv_deadline_); }
 
   Bytes bytes_sent() const override { return sent_; }
 

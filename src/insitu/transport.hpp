@@ -15,15 +15,16 @@
 //                      reproducible schedule of transport faults
 //                      (fault.hpp).
 //
-// Both endpoints move the same length-prefixed messages, so coupling
-// strategy is a pure configuration switch. Message integrity is handled
-// one layer up: send_framed()/recv_framed() wrap every payload in a
+// Every endpoint moves WireMessages (common/buffer.hpp), the one
+// currency of the data plane, so coupling strategy is a pure
+// configuration switch. Message integrity is handled one layer up:
+// send_framed_msg()/recv_framed_msg() wrap every payload in a
 // CRC32-checksummed frame (see kFrameMagic below), so corruption on
 // EITHER transport is detected at the framing layer and classified as
 // TransportError{kCorruptFrame} instead of surfacing as a crash inside
-// the deserializer. Raw send()/recv() stay available for callers that
-// do their own integrity handling (and for fault injection, which must
-// damage bytes BELOW the checksum).
+// the deserializer. The unframed send_msg()/recv_msg() stay public for
+// the retry loop, which frames once and resends, and for fault
+// injection, which must damage bytes BELOW the checksum.
 
 #include <condition_variable>
 #include <cstdint>
@@ -94,26 +95,15 @@ const char* wire_codec_label();
 /// kMaxMessageBytes (lengths equal to the limit are accepted).
 void check_message_length(std::uint64_t length);
 
-/// Wrap `payload` in a checksummed frame.
-std::vector<std::uint8_t> frame_encode(std::span<const std::uint8_t> payload,
-                                       WireCodec codec = WireCodec::kNone);
-
-/// Validate and strip the frame header (decompressing codec-tagged
-/// frames). Throws TransportError: kTruncated when the buffer is
-/// shorter than the header promises, kCorruptFrame on magic/CRC/codec
-/// stream damage, kMessageTooLarge on an implausible length.
-std::vector<std::uint8_t> frame_decode(std::span<const std::uint8_t> frame);
-
-/// Scatter-gather framing. With WireCodec::kNone: prepend a checksummed
-/// frame header as one owned segment and share the payload's segments —
-/// no contiguous copy is ever made (the CRC runs incrementally over the
-/// segment list); flattening the result yields exactly
-/// frame_encode(flat payload). With WireCodec::kLz4: gather + compress
-/// the payload (a "transport.compress" span; CPU is charged to
-/// compress_cpu_seconds) into a self-describing ETHZ frame — unless
-/// compression does not shrink the payload, in which case the stored
-/// format is emitted instead (adaptive fallback), so a codec-on wire is
-/// never larger than codec-off.
+/// Wrap `payload` in a checksummed frame. With WireCodec::kNone:
+/// prepend a checksummed frame header as one owned segment and share
+/// the payload's segments — no contiguous copy is ever made (the CRC
+/// runs incrementally over the segment list). With WireCodec::kLz4:
+/// shuffle + compress the payload (a "transport.compress" span; CPU is
+/// charged to compress_cpu_seconds) into a self-describing ETHZ frame —
+/// unless compression does not shrink the payload, in which case the
+/// stored format is emitted instead (adaptive fallback), so a codec-on
+/// wire is never larger than codec-off.
 WireMessage frame_encode_msg(const WireMessage& payload,
                              WireCodec codec = WireCodec::kNone);
 
@@ -121,25 +111,28 @@ WireMessage frame_encode_msg(const WireMessage& payload,
 /// dispatching on the frame magic: stored payloads share the frame's
 /// segments (and keepalives); compressed payloads are CRC-checked
 /// first, then decompressed (a "transport.decompress" span) into one
-/// owned segment. Identical error classification to frame_decode.
+/// owned segment. Throws TransportError: kTruncated when the frame is
+/// shorter than its header promises, kCorruptFrame on magic/CRC/codec
+/// stream damage, kMessageTooLarge on an implausible length.
 WireMessage frame_decode_msg(const WireMessage& frame);
+
+/// One-call flat adapters over frame_encode_msg/frame_decode_msg for
+/// callers holding one contiguous buffer (the golden tests, the codec
+/// curve bench); same bytes, same error classification.
+std::vector<std::uint8_t> frame_encode(std::span<const std::uint8_t> payload,
+                                       WireCodec codec = WireCodec::kNone);
+std::vector<std::uint8_t> frame_decode(std::span<const std::uint8_t> frame);
 
 /// Bidirectional message endpoint.
 class Transport {
 public:
   virtual ~Transport() = default;
 
-  /// Send a raw message (blocking until enqueued/written).
-  virtual void send(std::vector<std::uint8_t> bytes) = 0;
-
-  /// Receive the next message (blocking, subject to the recv deadline).
-  virtual std::vector<std::uint8_t> recv() = 0;
-
-  /// Total wire bytes moved through send() on this endpoint (includes
-  /// frame headers for framed traffic).
+  /// Total wire bytes moved through send_msg() on this endpoint
+  /// (includes frame headers for framed traffic).
   virtual Bytes bytes_sent() const = 0;
 
-  /// Cap how long recv() may block before raising
+  /// Cap how long recv_msg() may block before raising
   /// TransportError{kTimeout}; <= 0 means wait forever. Transports
   /// start with kDefaultRecvDeadlineSeconds so a dead peer can never
   /// hang a run indefinitely.
@@ -147,28 +140,20 @@ public:
 
   static constexpr double kDefaultRecvDeadlineSeconds = 60.0;
 
-  /// Send a scatter-gather message. Lifetime contract: segments WITHOUT
-  /// a keepalive are only guaranteed alive until this call returns, so
-  /// queueing transports must copy them on enqueue; segments WITH a
-  /// keepalive may be passed through by reference. The base
-  /// implementation flattens into a contiguous send(); transports
-  /// override it for zero-copy (writev on sockets, segment-list handoff
-  /// in process).
-  virtual void send_msg(const WireMessage& msg);
+  /// Send a scatter-gather message (blocking until enqueued/written).
+  /// Lifetime contract: segments WITHOUT a keepalive are only
+  /// guaranteed alive until this call returns, so queueing transports
+  /// must copy them on enqueue; segments WITH a keepalive may be passed
+  /// through by reference (writev on sockets, segment-list handoff in
+  /// process).
+  virtual void send_msg(const WireMessage& msg) = 0;
 
-  /// Receive the next message in scatter-gather form. The base
-  /// implementation wraps recv() as one owned segment, so bulk arrays
-  /// can alias the receive buffer.
-  virtual WireMessage recv_msg();
+  /// Receive the next message (blocking, subject to the recv deadline).
+  virtual WireMessage recv_msg() = 0;
 
-  // CRC-framed wrappers over the raw byte interface. The codec applies
-  // to the send side only; receivers dispatch on the frame magic, so a
-  // codec-none receiver understands codec-lz4 senders and vice versa.
-  void send_framed(std::span<const std::uint8_t> payload,
-                   WireCodec codec = WireCodec::kNone);
-  std::vector<std::uint8_t> recv_framed();
-
-  // CRC-framed wrappers over the scatter-gather interface.
+  // CRC-framed wrappers. The codec applies to the send side only;
+  // receivers dispatch on the frame magic, so a codec-none receiver
+  // understands codec-lz4 senders and vice versa.
   void send_framed_msg(const WireMessage& payload,
                        WireCodec codec = WireCodec::kNone);
   WireMessage recv_framed_msg();

@@ -265,7 +265,7 @@ std::vector<std::uint8_t> pack_image(const ImageBuffer& image) {
 }
 
 ImageBuffer unpack_image(std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
+  WireReader r(bytes);
   const Index width = r.get_i64();
   const Index height = r.get_i64();
   require(width >= 0 && height >= 0, "unpack_image: negative dimensions");

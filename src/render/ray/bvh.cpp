@@ -36,20 +36,12 @@ SphereBVH::SphereBVH(std::span<const Vec3f> centers, Real radius, SplitMethod sp
   nodes_.reserve(static_cast<std::size_t>(2 * n));
   build_recursive(centers, 0, n, split, max_leaf_size, 0);
 
-  // Gather centers into BVH leaf order for cache-coherent traversal,
-  // plus SoA copies for the SIMD leaf kernel.
+  // Gather centers into BVH leaf order for cache-coherent traversal
+  // (the scalar leaf loop and the SIMD packet kernel both read them).
   centers_.resize(static_cast<std::size_t>(n));
-  cx_.resize(static_cast<std::size_t>(n));
-  cy_.resize(static_cast<std::size_t>(n));
-  cz_.resize(static_cast<std::size_t>(n));
-  for (Index slot = 0; slot < n; ++slot) {
-    const Vec3f c =
+  for (Index slot = 0; slot < n; ++slot)
+    centers_[static_cast<std::size_t>(slot)] =
         centers[static_cast<std::size_t>(prim_order_[static_cast<std::size_t>(slot)])];
-    centers_[static_cast<std::size_t>(slot)] = c;
-    cx_[static_cast<std::size_t>(slot)] = c.x;
-    cy_[static_cast<std::size_t>(slot)] = c.y;
-    cz_[static_cast<std::size_t>(slot)] = c.z;
-  }
 }
 
 Index SphereBVH::build_recursive(std::span<const Vec3f> centers, Index begin, Index end,

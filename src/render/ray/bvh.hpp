@@ -47,8 +47,7 @@ public:
   Bytes byte_size() const {
     return static_cast<Bytes>(nodes_.size() * sizeof(Node) +
                               prim_order_.size() * sizeof(Index) +
-                              centers_.size() * sizeof(Vec3f) +
-                              3 * cx_.size() * sizeof(Real));
+                              centers_.size() * sizeof(Vec3f));
   }
 
   /// Nearest sphere intersection along `ray` within (tmin, tmax): the
@@ -69,7 +68,8 @@ public:
 
   /// The tree as the sphere_packet kernel reads it (non-empty trees).
   simd::SphereBvhView kernel_view() const {
-    return {nodes_.data(), cx_.data(), cy_.data(), cz_.data(), radius_};
+    static_assert(sizeof(Vec3f) == 3 * sizeof(float), "centers_ is read as xyz floats");
+    return {nodes_.data(), reinterpret_cast<const float*>(centers_.data()), radius_};
   }
 
   /// Depth of the tree (diagnostics / ablation benches).
@@ -99,10 +99,9 @@ private:
 
   std::vector<Node> nodes_;
   std::vector<Index> prim_order_;
-  std::vector<Vec3f> centers_; ///< copy in BVH order for cache-coherent leaves
-  // Leaf-order SoA copies of the centers for the packet kernel
-  // (DESIGN.md §14).
-  std::vector<Real> cx_, cy_, cz_;
+  /// Copy in BVH (leaf slot) order for cache-coherent leaves; the packet
+  /// kernel reads it too (DESIGN.md §14).
+  std::vector<Vec3f> centers_;
   Real radius_ = 0;
 };
 

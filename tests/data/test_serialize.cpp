@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "insitu/transport.hpp"
@@ -9,63 +12,111 @@
 namespace eth {
 namespace {
 
-TEST(ByteWriterReader, PodRoundTrip) {
-  ByteWriter w;
-  w.put_u8(7);
-  w.put_u32(0xDEADBEEF);
-  w.put_u64(0x0123456789ABCDEFull);
-  w.put_i64(-42);
-  w.put_f32(3.25f);
-  w.put_f64(-1.5e300);
-  w.put_string("hello");
-  const auto buf = w.take();
-
-  ByteReader r(buf);
-  EXPECT_EQ(r.get_u8(), 7);
-  EXPECT_EQ(r.get_u32(), 0xDEADBEEF);
-  EXPECT_EQ(r.get_u64(), 0x0123456789ABCDEFull);
-  EXPECT_EQ(r.get_i64(), -42);
-  EXPECT_EQ(r.get_f32(), 3.25f);
-  EXPECT_EQ(r.get_f64(), -1.5e300);
-  EXPECT_EQ(r.get_string(), "hello");
-  EXPECT_TRUE(r.at_end());
+/// The same bytes read two ways: through one span, and through a
+/// message of owned segments cut at `cuts` (ascending offsets).
+std::vector<WireReader> readers_over(std::span<const std::uint8_t> bytes,
+                                     std::initializer_list<std::size_t> cuts) {
+  WireMessage msg;
+  std::size_t from = 0;
+  for (const std::size_t cut : cuts) {
+    msg.append_owned(Buffer::copy_of(bytes.subspan(from, cut - from)));
+    from = cut;
+  }
+  msg.append_owned(Buffer::copy_of(bytes.subspan(from)));
+  EXPECT_EQ(msg.segments().size(), cuts.size() + 1);
+  std::vector<WireReader> readers;
+  readers.emplace_back(bytes);
+  readers.emplace_back(msg);
+  return readers;
 }
 
-TEST(ByteReader, TruncatedInputThrows) {
+TEST(WireReader, PodRoundTrip) {
+  ByteWriter w;
+  w.put_u8(7);                      // [0, 1)
+  w.put_u32(0xDEADBEEF);            // [1, 5)
+  w.put_u64(0x0123456789ABCDEFull); // [5, 13)
+  w.put_i64(-42);                   // [13, 21)
+  w.put_f32(3.25f);                 // [21, 25)
+  w.put_f64(-1.5e300);              // [25, 33)
+  w.put_string("hello");            // length [33, 37), bytes [37, 42)
+  const auto buf = w.take();
+  ASSERT_EQ(buf.size(), 42u);
+
+  // Every cut lands inside a value: each u32, u64 and the string's
+  // length and bytes straddle a segment boundary.
+  for (WireReader& r : readers_over(buf, {3, 9, 17, 23, 29, 35, 39})) {
+    EXPECT_EQ(r.get_u8(), 7);
+    EXPECT_EQ(r.get_u32(), 0xDEADBEEF);
+    EXPECT_EQ(r.get_u64(), 0x0123456789ABCDEFull);
+    EXPECT_EQ(r.get_i64(), -42);
+    EXPECT_EQ(r.get_f32(), 3.25f);
+    EXPECT_EQ(r.get_f64(), -1.5e300);
+    EXPECT_EQ(r.get_string(), "hello");
+    EXPECT_TRUE(r.at_end());
+    EXPECT_EQ(r.consumed(), buf.size());
+  }
+}
+
+TEST(WireReader, TruncatedInputThrows) {
   ByteWriter w;
   w.put_u32(5);
   const auto buf = w.take();
-  ByteReader r(buf);
-  r.get_u32();
-  EXPECT_THROW(r.get_u8(), Error);
-
-  ByteReader r2(buf);
-  EXPECT_THROW(r2.get_u64(), Error);
+  for (WireReader& r : readers_over(buf, {2})) {
+    r.get_u32();
+    EXPECT_THROW(r.get_u8(), Error);
+  }
+  for (WireReader& r : readers_over(buf, {2})) EXPECT_THROW(r.get_u64(), Error);
 
   // String header promising more bytes than remain.
   ByteWriter w3;
   w3.put_u32(1000);
+  w3.put_string("abc");
   const auto buf3 = w3.take();
-  ByteReader r3(buf3);
-  EXPECT_THROW(r3.get_string(), Error);
+  for (WireReader& r : readers_over(buf3, {2, 6})) EXPECT_THROW(r.get_string(), Error);
 }
 
-TEST(SerializeField, RoundTrip) {
-  Field f("velocity", 4, 3, FieldAssociation::kCell);
-  Rng rng(3);
-  for (Index t = 0; t < 4; ++t)
-    for (int c = 0; c < 3; ++c) f.set(t, c, Real(rng.uniform(-10, 10)));
-  ByteWriter w;
-  serialize_field(w, f);
-  const auto buf = w.take();
-  ByteReader r(buf);
-  const Field g = deserialize_field(r);
-  EXPECT_EQ(g.name(), "velocity");
-  EXPECT_EQ(g.components(), 3);
-  EXPECT_EQ(g.tuples(), 4);
-  EXPECT_EQ(g.association(), FieldAssociation::kCell);
-  for (Index t = 0; t < 4; ++t)
-    for (int c = 0; c < 3; ++c) EXPECT_EQ(g.get(t, c), f.get(t, c));
+TEST(WireReader, GetArrayBorrowsOnlyAlignedKeptAliveContiguousRuns) {
+  const std::vector<float> values{1.5f, -2.0f, 3.25f, 8.0f};
+  const std::span<const std::uint8_t> bytes{
+      reinterpret_cast<const std::uint8_t*>(values.data()), values.size() * sizeof(float)};
+  const auto expect_read = [&](WireReader& r, bool borrowed, const std::uint8_t* at) {
+    const DataPlaneCounters before = data_plane_counters();
+    const ArrayChunk<float> chunk = r.get_array<float>(values.size());
+    const DataPlaneCounters after = data_plane_counters();
+    EXPECT_EQ(chunk.borrowed, borrowed);
+    EXPECT_EQ(chunk.keepalive != nullptr, borrowed);
+    EXPECT_TRUE(std::equal(chunk.view.begin(), chunk.view.end(), values.begin()));
+    if (borrowed) {
+      EXPECT_EQ(reinterpret_cast<const std::uint8_t*>(chunk.view.data()), at);
+    }
+    EXPECT_EQ(after.bytes_borrowed - before.bytes_borrowed, borrowed ? bytes.size() : 0u);
+    EXPECT_EQ(after.bytes_copied - before.bytes_copied, borrowed ? 0u : bytes.size());
+    EXPECT_TRUE(r.at_end());
+  };
+
+  // Contiguous, kept alive and aligned: borrowed in place.
+  const Buffer aligned = Buffer::copy_of(bytes);
+  WireReader kept(aligned.span(), aligned.handle());
+  expect_read(kept, true, aligned.data());
+
+  // No keepalive: nothing pins the bytes past the read, so they are copied.
+  WireReader unowned(aligned.span());
+  expect_read(unowned, false, nullptr);
+
+  // Misaligned for float (one leading byte): copied.
+  std::vector<std::uint8_t> shifted{0xAA};
+  shifted.insert(shifted.end(), bytes.begin(), bytes.end());
+  const Buffer odd = Buffer::copy_of(shifted);
+  WireReader misaligned(odd.span(), odd.handle());
+  EXPECT_EQ(misaligned.get_u8(), 0xAA);
+  expect_read(misaligned, false, nullptr);
+
+  // Split across two kept-alive segments: copied.
+  WireMessage split;
+  split.append_owned(Buffer::copy_of(bytes.first(6)));
+  split.append_owned(Buffer::copy_of(bytes.subspan(6)));
+  WireReader straddling(split);
+  expect_read(straddling, false, nullptr);
 }
 
 PointSet make_point_set() {
@@ -104,6 +155,31 @@ TEST(SerializeDataset, StructuredGridRoundTrip) {
   EXPECT_EQ(r.spacing(), (Vec3f{0.5f, 0.5f, 0.5f}));
   for (Index i = 0; i < r.num_points(); ++i)
     EXPECT_EQ(r.point_fields().get("t").get(i), Real(i) * 0.25f);
+}
+
+TEST(SerializeDataset, CellVectorFieldRoundTrip) {
+  // A 3-component cell field (4 tuples on a 2x2x1-cell grid) survives
+  // both readers: the flat span and the keepalive message.
+  auto g = std::make_shared<StructuredGrid>(Vec3i{3, 3, 2}, Vec3f{0, 0, 0},
+                                            Vec3f{1, 1, 1});
+  ASSERT_EQ(g->num_cells(), 4);
+  Field f("velocity", 4, 3, FieldAssociation::kCell);
+  Rng rng(3);
+  for (Index t = 0; t < 4; ++t)
+    for (int c = 0; c < 3; ++c) f.set(t, c, Real(rng.uniform(-10, 10)));
+  g->cell_fields().add(f);
+
+  const auto from_span = deserialize_dataset(serialize_dataset(*g));
+  const auto from_msg =
+      deserialize_dataset(wire_message_for_dataset(std::shared_ptr<const DataSet>(g)));
+  for (const auto* restored : {from_span.get(), from_msg.get()}) {
+    const Field& r = restored->cell_fields().get("velocity");
+    EXPECT_EQ(r.components(), 3);
+    EXPECT_EQ(r.tuples(), 4);
+    EXPECT_EQ(r.association(), FieldAssociation::kCell);
+    for (Index t = 0; t < 4; ++t)
+      for (int c = 0; c < 3; ++c) EXPECT_EQ(r.get(t, c), f.get(t, c));
+  }
 }
 
 TEST(SerializeDataset, TriangleMeshRoundTripWithNormals) {

@@ -2,11 +2,11 @@
 //
 // The serialized byte stream is a WIRE CONTRACT: checked-in hex
 // fixtures (generated from the original contiguous serializer) pin the
-// exact bytes for every dataset kind. Both serialization paths — the
-// legacy contiguous serialize_dataset and the scatter-gather
-// wire_message_for_dataset — must keep reproducing these fixtures
-// bit-for-bit, and frames built from either path must be identical, so
-// old and new endpoints interoperate freely.
+// exact bytes for every dataset kind. The scatter-gather
+// wire_message_for_dataset and its flat adapter serialize_dataset must
+// keep reproducing these fixtures bit-for-bit, and the stored frame
+// around them is checked against one assembled by hand from its layout,
+// so old and new endpoints interoperate freely.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "data/serialize.hpp"
 #include "data/tet_mesh.hpp"
 #include "insitu/transport.hpp"
@@ -134,11 +135,18 @@ void expect_golden(const DataSet& ds, const char* hex) {
   const WireMessage msg = wire_message_for_dataset(ds);
   EXPECT_EQ(msg.flatten(), fixture);
 
-  // 3. Mixed old/new framing: a frame built from the segment list is
-  // byte-identical to one built from the contiguous payload, and each
-  // decoder accepts the other's frames.
-  const std::vector<std::uint8_t> legacy_frame = insitu::frame_encode(fixture);
+  // 3. The stored frame, pinned apart from the encoder: built here by
+  // hand from its layout, "ETHF" | crc32(payload) | u64 length |
+  // payload, it must equal what both encode paths produce, and both
+  // decoders must accept it.
+  ByteWriter hand;
+  hand.put_bytes("ETHF", 4);
+  hand.put_u32(crc32(fixture));
+  hand.put_u64(fixture.size());
+  hand.put_bytes(fixture.data(), fixture.size());
+  const std::vector<std::uint8_t> legacy_frame = hand.take();
   EXPECT_EQ(insitu::frame_encode_msg(msg).flatten(), legacy_frame);
+  EXPECT_EQ(insitu::frame_encode(fixture), legacy_frame);
   EXPECT_EQ(insitu::frame_decode(legacy_frame), fixture);
   WireMessage frame_msg;
   frame_msg.append_owned(Buffer::copy_of(legacy_frame));

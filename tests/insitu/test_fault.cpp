@@ -41,6 +41,13 @@ std::vector<std::uint8_t> sample_payload() {
   return serialize_dataset(ps);
 }
 
+/// A one-segment message owning `bytes`.
+WireMessage msg_of(std::vector<std::uint8_t> bytes) {
+  WireMessage msg;
+  msg.append_owned(Buffer::adopt(std::move(bytes)));
+  return msg;
+}
+
 // ------------------------------------------------------- determinism
 
 TEST(FaultSchedule, IdenticalSeedsYieldIdenticalSchedules) {
@@ -137,13 +144,13 @@ TEST(FaultInjector, InjectedBitFlipIsNeverSilentlyDeserialized) {
   cfg.seed = 9;
   cfg.p_bit_flip = 1.0;
   FaultInjector tx(std::move(a), cfg);
-  tx.send_framed(sample_payload());
+  tx.send_framed_msg(msg_of(sample_payload()));
   EXPECT_EQ(tx.faults_injected(), 1);
   // The flip may land anywhere in the frame (magic, CRC, length or
   // payload); whichever it hits, the framing layer must classify it —
   // the payload never reaches the deserializer.
   try {
-    b->recv_framed();
+    b->recv_framed_msg();
     FAIL() << "bit-flipped frame was delivered as valid";
   } catch (const TransportError& error) {
     EXPECT_TRUE(error.code() == TransportErrorCode::kCorruptFrame ||
@@ -161,9 +168,9 @@ TEST(FaultInjector, TruncatedFrameRaisesInsteadOfHanging) {
   cfg.p_truncate = 1.0;
   FaultInjector tx(std::move(a), cfg);
   b->set_recv_deadline(5.0);
-  tx.send_framed(sample_payload());
+  tx.send_framed_msg(msg_of(sample_payload()));
   try {
-    b->recv_framed();
+    b->recv_framed_msg();
     FAIL() << "truncated frame was delivered as valid";
   } catch (const TransportError& error) {
     EXPECT_EQ(error.code(), TransportErrorCode::kTruncated);
@@ -177,9 +184,9 @@ TEST(FaultInjector, InjectedRecvTimeoutIsClassified) {
   cfg.seed = 11;
   cfg.p_recv_timeout = 1.0;
   FaultInjector rx(std::move(b), cfg);
-  a->send_framed(sample_payload());
+  a->send_framed_msg(msg_of(sample_payload()));
   try {
-    rx.recv_framed();
+    rx.recv_framed_msg();
     FAIL() << "timed-out frame was delivered";
   } catch (const TransportError& error) {
     EXPECT_EQ(error.code(), TransportErrorCode::kTimeout);
@@ -195,14 +202,56 @@ TEST(FaultInjector, DelayStallsButDeliversIntact) {
   cfg.delay_ms = 1.0;
   FaultInjector tx(std::move(a), cfg);
   const auto payload = sample_payload();
-  tx.send_framed(payload);
-  EXPECT_EQ(b->recv_framed(), payload);
+  tx.send_framed_msg(msg_of(payload));
+  EXPECT_EQ(b->recv_framed_msg().flatten(), payload);
   EXPECT_EQ(tx.faults_injected(), 1);
+}
+
+TEST(FaultInjector, DamageNeverReachesTheBorrowedSourceBuffer) {
+  // Pristine-retry invariant (DESIGN.md §9, §15): the payload segment
+  // borrows a live buffer, with a keepalive, the way the harness's
+  // frames borrow the sender's dataset. A bit flip inside that segment
+  // and a truncation must damage copies only, so the third attempt
+  // resends the untouched bytes and the delivery aliases the buffer.
+  const std::vector<std::uint8_t> payload = sample_payload();
+  const std::uint64_t payload_bits = std::uint64_t(payload.size()) * 8;
+  const std::uint64_t frame_bits = payload_bits + kFrameHeaderBytes * 8;
+  FaultConfig cfg;
+  cfg.p_truncate = 0.3;
+  cfg.p_bit_flip = 0.3;
+  // A deterministic search for a schedule reading: bit flip in the
+  // payload segment, truncation, clean send.
+  for (;; ++cfg.seed) {
+    const FaultSchedule s(cfg);
+    const FaultEvent flip = s.send_event(0);
+    if (flip.kind == FaultKind::kBitFlip && flip.site % frame_bits >= frame_bits - payload_bits &&
+        s.send_event(1).kind == FaultKind::kTruncate && s.send_event(2).kind == FaultKind::kNone)
+      break;
+    ASSERT_LT(cfg.seed, 100000u);
+  }
+  Buffer live = Buffer::copy_of(payload);
+  WireMessage msg;
+  msg.append_borrowed(live.span(), live.handle());
+
+  auto [a, b] = make_inproc_channel();
+  FaultInjector tx(std::move(a), cfg);
+  RobustnessReport report;
+  const auto got = transfer_with_retry(tx, *b, msg, RetryPolicy{}, report);
+  EXPECT_EQ(tx.faults_injected(), 2);
+  EXPECT_EQ(report.frames_corrupt, 2);
+  EXPECT_EQ(report.frames_retried, 2);
+  EXPECT_EQ(std::vector<std::uint8_t>(live.span().begin(), live.span().end()), payload);
+  ASSERT_TRUE(got.has_value());
+  ASSERT_EQ(got->segments().size(), 1u);
+  EXPECT_EQ(got->segments()[0].bytes.data(), live.data()); // delivered by reference
+  EXPECT_EQ(got->flatten(), payload);
 }
 
 // -------------------------------------------------- hardened delivery
 
 TEST(TransferWithRetry, CleanChannelDeliversFirstTry) {
+  // The flat-span adapter (perfbench's replay calls it) over the
+  // message path.
   auto [a, b] = make_inproc_channel();
   RobustnessReport report;
   const auto payload = sample_payload();
@@ -226,7 +275,7 @@ TEST(TransferWithRetry, PersistentCorruptionDropsAfterBudget) {
   RetryPolicy policy;
   policy.max_attempts = 3;
   RobustnessReport report;
-  const auto got = transfer_with_retry(tx, *b, sample_payload(), policy, report);
+  const auto got = transfer_with_retry(tx, *b, msg_of(sample_payload()), policy, report);
   EXPECT_FALSE(got.has_value());
   EXPECT_EQ(report.frames_sent, 3);
   EXPECT_EQ(report.frames_retried, 2);
@@ -256,9 +305,9 @@ TEST(TransferWithRetry, TransientFaultIsRetriedToDelivery) {
   FaultInjector tx(std::move(a), cfg);
   RobustnessReport report;
   const auto payload = sample_payload();
-  const auto got = transfer_with_retry(tx, *b, payload, RetryPolicy{}, report);
+  const auto got = transfer_with_retry(tx, *b, msg_of(payload), RetryPolicy{}, report);
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, payload);
+  EXPECT_EQ(got->flatten(), payload);
   EXPECT_EQ(report.frames_sent, 2);
   EXPECT_EQ(report.frames_retried, 1);
   EXPECT_EQ(report.frames_corrupt, 1);
@@ -307,7 +356,7 @@ TEST_F(FaultSocketTest, DeadPeerRaisesRecvTimeoutNotHang) {
   const WallTimer timer;
   viz_end->set_recv_deadline(0.2);
   try {
-    viz_end->recv(); // sim never sends
+    viz_end->recv_msg(); // sim never sends
     FAIL() << "recv returned without a sender";
   } catch (const TransportError& error) {
     EXPECT_EQ(error.code(), TransportErrorCode::kTimeout);
@@ -326,10 +375,10 @@ TEST_F(FaultSocketTest, TruncatedTcpStreamRaisesInsteadOfHanging) {
   // truncation as soon as the (complete) message arrives short.
   auto frame = frame_encode(sample_payload());
   frame.resize(frame.size() / 2);
-  sim_end->send(std::move(frame));
+  sim_end->send_msg(msg_of(std::move(frame)));
   viz_end->set_recv_deadline(5.0);
   try {
-    viz_end->recv_framed();
+    viz_end->recv_framed_msg();
     FAIL() << "truncated frame was delivered as valid";
   } catch (const TransportError& error) {
     EXPECT_EQ(error.code(), TransportErrorCode::kTruncated);
@@ -337,7 +386,7 @@ TEST_F(FaultSocketTest, TruncatedTcpStreamRaisesInsteadOfHanging) {
   // The peer closing mid-stream is classified, not a hang.
   sim_end.reset();
   try {
-    viz_end->recv();
+    viz_end->recv_msg();
     FAIL() << "recv from a closed peer returned";
   } catch (const TransportError& error) {
     EXPECT_EQ(error.code(), TransportErrorCode::kConnectionClosed);

@@ -12,6 +12,13 @@
 namespace eth::insitu {
 namespace {
 
+/// A one-segment message owning `bytes`.
+WireMessage msg_of(std::vector<std::uint8_t> bytes) {
+  WireMessage msg;
+  msg.append_owned(Buffer::adopt(std::move(bytes)));
+  return msg;
+}
+
 class SocketTest : public ::testing::Test {
 protected:
   void SetUp() override {
@@ -67,11 +74,12 @@ TEST_F(SocketTest, RendezvousAndMessageExchange) {
   ASSERT_NE(sim_end, nullptr);
   ASSERT_NE(viz_end, nullptr);
 
-  sim_end->send({10, 20, 30});
-  EXPECT_EQ(viz_end->recv(), (std::vector<std::uint8_t>{10, 20, 30}));
-  viz_end->send({});
-  EXPECT_TRUE(sim_end->recv().empty());
+  sim_end->send_msg(msg_of({10, 20, 30}));
+  EXPECT_EQ(viz_end->recv_msg().flatten(), (std::vector<std::uint8_t>{10, 20, 30}));
+  viz_end->send_msg(WireMessage{}); // a zero-length message is a valid message
+  EXPECT_TRUE(sim_end->recv_msg().empty());
   EXPECT_EQ(sim_end->bytes_sent(), 3u);
+  EXPECT_EQ(viz_end->bytes_sent(), 0u);
 }
 
 TEST_F(SocketTest, MultipleRankPairsShareOneLayoutFile) {
@@ -85,8 +93,8 @@ TEST_F(SocketTest, MultipleRankPairsShareOneLayoutFile) {
   for (auto& t : threads) t.join();
   // Each pair is independent.
   for (int r = 0; r < kPairs; ++r) {
-    sims[static_cast<std::size_t>(r)]->send({static_cast<std::uint8_t>(r * 7)});
-    EXPECT_EQ(vizzes[static_cast<std::size_t>(r)]->recv()[0], r * 7);
+    sims[static_cast<std::size_t>(r)]->send_msg(msg_of({static_cast<std::uint8_t>(r * 7)}));
+    EXPECT_EQ(vizzes[static_cast<std::size_t>(r)]->recv_msg().flatten()[0], r * 7);
   }
 }
 

@@ -26,6 +26,13 @@
 namespace eth {
 namespace {
 
+/// A one-segment message owning `bytes`.
+WireMessage msg_of(std::vector<std::uint8_t> bytes) {
+  WireMessage msg;
+  msg.append_owned(Buffer::adopt(std::move(bytes)));
+  return msg;
+}
+
 class EndToEndTest : public ::testing::Test {
 protected:
   void SetUp() override {
@@ -131,10 +138,10 @@ TEST_F(EndToEndTest, InternodeSocketSurvivesCorruptFrameAndDisconnect) {
   const WallTimer timer;
   std::thread sim_proxy([&] {
     auto transport = insitu::socket_listen(layout_path, 0, 15.0);
-    transport->send_framed(payload);
+    transport->send_dataset(*data);
     auto corrupt = insitu::frame_encode(payload);
     corrupt[insitu::kFrameHeaderBytes + 3] ^= 0x40; // damage below the CRC
-    transport->send(std::move(corrupt));
+    transport->send_msg(msg_of(std::move(corrupt)));
     // Destroying the transport here is the mid-run disconnect: the
     // receiver still expects more timesteps.
   });
@@ -185,10 +192,10 @@ TEST_F(EndToEndTest, InternodeSocketSurvivesCorruptCompressedFrameAndDisconnect)
   const WallTimer timer;
   std::thread sim_proxy([&] {
     auto transport = insitu::socket_listen(layout_path, 0, 15.0);
-    transport->send_framed(payload, insitu::WireCodec::kLz4);
+    transport->send_framed_msg(wire_message_for_dataset(*data), insitu::WireCodec::kLz4);
     auto corrupt = lz_frame;
     corrupt[insitu::kLzFrameHeaderBytes + 3] ^= 0x40; // damage a coded byte
-    transport->send(std::move(corrupt));
+    transport->send_msg(msg_of(std::move(corrupt)));
     // Destroying the transport here is the mid-run disconnect.
   });
 

@@ -244,19 +244,15 @@ TEST(SimdGateKernels, SpherePacketLeafEdgeCases) {
       {0, 0, 0},      {0.2f, 0.1f, 2},  {5, 5, 5},      {0, 0, -20},
       {0.45f, 0, 1},  {0, 0, -4.8f},    {kQnan, 0, 3},  {0, 0.2f, 4},
       {0, 0, 0.001f}, {-0.3f, 0.3f, 6}, {0.1f, -0.1f, 8}};
-  std::vector<float> cx, cy, cz;
-  for (const Vec3f& c : centers) {
-    cx.push_back(c.x);
-    cy.push_back(c.y);
-    cz.push_back(c.z);
-  }
+  std::vector<float> xyz;
+  for (const Vec3f& c : centers) xyz.insert(xyz.end(), {c.x, c.y, c.z});
   simd::BvhNode leaf;
   for (int a = 0; a < 3; ++a) {
     leaf.lo[a] = -50;
     leaf.hi[a] = 50;
   }
   leaf.count = static_cast<std::int64_t>(centers.size());
-  const simd::SphereBvhView view{&leaf, cx.data(), cy.data(), cz.data(), radius};
+  const simd::SphereBvhView view{&leaf, xyz.data(), radius};
   const Vec3f o{0, 0, -5};
   const Vec3f dirs[8] = {{0, 0, 1},
                          normalize(Vec3f{0.05f, 0.02f, 1}),

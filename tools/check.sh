@@ -179,7 +179,9 @@ rm -f "${async_json}"
 # AddressSanitizer over the data/in-situ suites: the zero-copy data
 # plane aliases receive buffers and peers' live arrays (common/buffer),
 # so the lifetime contract — keepalives pin every borrowed span — is
-# exactly what ASan's use-after-free detection verifies. The Error and
+# exactly what ASan's use-after-free detection verifies; WireReader,
+# the one reader of every payload, reads across segment boundaries and
+# borrows arrays in place. The Error and
 # FrameAllocation suites replace the global operator new, the xRAGE
 # generator writes its fields and the HACC generator its replay blocks
 # from pool workers (the Rng checkpoints they start from and the dump
@@ -199,7 +201,7 @@ asan_variant() {
   cmake --build "${dir}" -j "${jobs}"
   echo "==== test ${dir} (data + insitu + buffer suites) ===="
   run_gate "${dir}" \
-    'Buffer|CowArray|DataPlane|WireMessage|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset|Error|XrageGenerator|HaccGenerator|Rng|VtkIo|Compositor|ImageBuffer|ArtifactCache|CacheEquivalence'
+    'Buffer|CowArray|DataPlane|WireMessage|WireReader|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset|Error|XrageGenerator|HaccGenerator|Rng|VtkIo|Compositor|ImageBuffer|ArtifactCache|CacheEquivalence'
 }
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" asan_variant
 
