@@ -16,6 +16,7 @@
 #include "cluster/job.hpp"
 #include "cluster/machine.hpp"
 #include "cluster/timeline.hpp"
+#include "core/model.hpp"
 #include "data/image.hpp"
 #include "insitu/fault.hpp"
 #include "insitu/viz.hpp"
@@ -152,6 +153,9 @@ struct RunResult {
   Index timesteps_dropped = 0; ///< timesteps skipped after transfer loss
 
   // ----- modelled timeline
+  /// The per-node phase times the timeline was composed from
+  /// (core::reduce_reports of this run's rank reports).
+  core::NodePhaseTimes phase_times;
   /// Labeled busy spans of the modelled cluster (model.generate /
   /// model.viz / model.composite / ...). The tracer maps these onto
   /// "model node" tracks next to the measured wall spans (DESIGN.md

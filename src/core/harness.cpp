@@ -185,6 +185,68 @@ CacheLookup cached_share(ArtifactCache& cache, const ExperimentSpec& spec,
           share_fingerprint(app_fp, share, parts, t), pass.hit};
 }
 
+/// One file of the preliminary dump: rank r's share of `parts`.
+struct DumpFile {
+  const sim::DumpWriter* writer;
+  int r;
+  int share;
+  int parts;
+  std::string path;
+  std::uint64_t fp; ///< share_fingerprint of its content
+};
+
+/// The datasets of `files` at timestep `t`. Particle slabs are filtered
+/// views of one stream, so the timestep is generated once and sliced per
+/// file; grid blocks are built once each, and a block inside a larger
+/// one is cut from it (sim::generate_xrage_blocks).
+std::vector<std::unique_ptr<DataSet>> dump_datasets(const ExperimentSpec& spec,
+                                                    const std::vector<DumpFile>& files,
+                                                    Index t) {
+  std::vector<std::unique_ptr<DataSet>> out;
+  if (spec.application == Application::kHacc) {
+    const std::unique_ptr<DataSet> full = Harness::produce_share(spec, 0, 1, t);
+    for (const DumpFile& file : files)
+      out.push_back(std::make_unique<PointSet>(sim::extract_hacc_slab(
+          static_cast<const PointSet&>(*full), spec.hacc.box_size, file.share, file.parts)));
+    return out;
+  }
+  sim::XrageParams params = spec.xrage;
+  params.timestep = t;
+  std::vector<std::pair<Vec3i, Vec3i>> ranges;
+  for (const DumpFile& file : files)
+    ranges.push_back(sim::grid_block_range(params.dims, file.share, file.parts));
+  for (std::unique_ptr<StructuredGrid>& block : sim::generate_xrage_blocks(params, ranges))
+    out.push_back(std::move(block));
+  return out;
+}
+
+/// What one rank's sim -> viz hand-off did, as the couple memo records
+/// it. A lossless delivery is the consumed share bit for bit, so only a
+/// quantized record keeps the delivered dataset.
+struct CoupleRecord {
+  bool delivered = false;
+  Bytes bytes_sent = 0;
+  insitu::RobustnessReport robustness;
+  std::shared_ptr<const DataSet> decoded; ///< quantized deliveries only
+};
+
+/// Everything a hand-off's outcome depends on besides the share's
+/// content: rank r's injector endpoint ids and the message indices they
+/// start from (every hand-off opens a fresh channel, so both start at
+/// 0), the codec, the quantization bits, the fault spec and the retry
+/// policy.
+std::string couple_signature(const ExperimentSpec& spec, insitu::WireCodec codec, int r) {
+  const insitu::FaultConfig& f = spec.fault;
+  return strprintf("couple ids=%d,%d msg=0,0 codec=%s bits=%d fault=%llu,%a,%a,%a,%a,%a,%a "
+                   "retry=%d,%a",
+                   2 * r, 2 * r + 1, insitu::to_string(codec),
+                   spec.transport_quantization_bits,
+                   static_cast<unsigned long long>(f.seed), f.p_connect_refused,
+                   f.p_recv_timeout, f.p_truncate, f.p_bit_flip, f.p_delay, f.delay_ms,
+                   spec.transfer_retry.max_attempts,
+                   spec.transfer_retry.recv_deadline_seconds);
+}
+
 } // namespace
 
 AABB Harness::global_bounds(const ExperimentSpec& spec) {
@@ -238,9 +300,9 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
   if (!spec.artifact_dir.empty())
     std::filesystem::create_directories(spec.artifact_dir);
 
-  // Sweep-wide memoization (DESIGN.md §10): proxy loads, filter
-  // outputs and acceleration structures resolve through the artifact
-  // cache. With ETH_CACHE_BYTES=0 every lookup computes through, and
+  // Sweep-wide memoization (DESIGN.md §10): proxy loads, hand-offs,
+  // filter outputs and acceleration structures resolve through the
+  // artifact cache. With ETH_CACHE_BYTES=0 every lookup computes through, and
   // the run takes the same path otherwise.
   ArtifactCache& cache = global_artifact_cache();
   const std::uint64_t app_fp = app_fingerprint(spec);
@@ -276,30 +338,32 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
     const sim::DumpWriter sim_writer(spec.proxy_dir, sim_case);
     const sim::DumpWriter viz_writer(spec.proxy_dir, viz_case);
     for (Index t = 0; t < spec.timesteps; ++t) {
-      // Particle slabs are filtered views of one stream: generate the
-      // timestep once — and only when some slab is missing — then slice
-      // it per share. Grid blocks evaluate analytically per share.
-      std::unique_ptr<DataSet> full;
-      const auto write_share = [&](const sim::DumpWriter& writer, int parts, int r) {
-        const std::string path = sim::dump_path(writer.dir(), writer.case_name(), t, r);
+      // This timestep's files the registry cannot prove on disk.
+      std::vector<DumpFile> missing;
+      const auto want = [&](const sim::DumpWriter& writer, int parts, int r) {
+        std::string path = sim::dump_path(writer.dir(), writer.case_name(), t, r);
         const int share = share_index(r, M, parts);
         const std::uint64_t fp = share_fingerprint(app_fp, share, parts, t);
         if (cache.lookup_dump(path).value_or(0) == fp && std::filesystem::exists(path))
           return;
-        if (spec.application == Application::kHacc) {
-          if (!full) full = produce_share(spec, 0, 1, t);
-          writer.write(sim::extract_hacc_slab(static_cast<const PointSet&>(*full),
-                                              spec.hacc.box_size, share, parts),
-                       t, r);
-        } else {
-          writer.write(*produce_share(spec, share, parts, t), t, r);
-        }
-        cache.register_dump(path, fp);
+        missing.push_back({&writer, r, share, parts, std::move(path), fp});
       };
       for (int r = 0; r < M; ++r) {
-        write_share(sim_writer, P_sim, r);
-        if (redistribute) write_share(viz_writer, P_viz, r);
+        want(sim_writer, P_sim, r);
+        if (redistribute) want(viz_writer, P_viz, r);
       }
+      if (missing.empty()) continue;
+      const std::vector<std::unique_ptr<DataSet>> datasets = dump_datasets(spec, missing, t);
+      // The files go out in parallel; a file is registered only once its
+      // write has returned, and the first failed write is rethrown here.
+      TaskGroup writes;
+      for (std::size_t i = 0; i < missing.size(); ++i)
+        writes.launch(global_pool(), [&, i] {
+          const DumpFile& file = missing[i];
+          file.writer->write(*datasets[i], t, file.r);
+          cache.register_dump(file.path, file.fp);
+        });
+      writes.wait();
     }
   }
 
@@ -370,6 +434,8 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
       Index generate_items = 0;
       Bytes replay_copied = 0;   ///< cache-replayed data-plane bytes
       Bytes replay_borrowed = 0;
+      Bytes replay_on_wire = 0;  ///< cache-replayed wire bytes and codec CPU
+      double replay_codec_cpu = 0;
       double transfer_cpu = 0;
       Bytes transferred = 0;
       insitu::RobustnessReport robustness;
@@ -454,39 +520,8 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
       // the interconnect model, and here the receiving side
       // materializes its share directly.
       if (redistribute) take_share(slot, viz_case, P_viz, t);
-      ThreadCpuTimer xfer_timer;
-      auto [sim_end, viz_end] = insitu::make_inproc_channel();
-      if (spec.fault.any()) {
-        sim_end = std::make_unique<insitu::FaultInjector>(
-            std::move(sim_end), spec.fault, std::uint64_t(2 * r));
-        viz_end = std::make_unique<insitu::FaultInjector>(
-            std::move(viz_end), spec.fault, std::uint64_t(2 * r + 1));
-      }
-      // One hand-off for both payload kinds. Lossless: the wire message
-      // borrows the dataset's bulk arrays (kept alive by the shared_ptr
-      // keepalive) and the delivered message's segments back the
-      // received dataset copy-on-write, so the payload crosses the
-      // channel without a userspace memcpy. Quantized: the packed lossy
-      // payload travels as one owned segment, and the frame decoder
-      // delivers it as one segment again (a stored frame's payload
-      // slice, or the decompressed buffer of an lz4 frame).
       const int bits = spec.transport_quantization_bits;
       std::shared_ptr<const DataSet> shared = std::move(slot.sim_data);
-      const WireMessage msg = [&] {
-        const trace::Span span("serialize");
-        if (bits == 0) return wire_message_for_dataset(shared);
-        WireMessage packed;
-        packed.append_owned(Buffer::adopt(compress_dataset(*shared, bits)));
-        return packed;
-      }();
-      const auto delivered =
-          insitu::transfer_with_retry(*sim_end, *viz_end, msg, spec.transfer_retry,
-                                      slot.robustness, wire_codec);
-      if (delivered.has_value()) {
-        const trace::Span span("deserialize");
-        slot.viz_data = bits == 0 ? deserialize_dataset(*delivered)
-                                  : decompress_dataset(delivered->contiguous_bytes());
-      }
       // The lossless round trip is bit-exact: same content identity.
       // Quantization is lossy: the delivered content is a pure function
       // of (input, bit width), so chain the provenance.
@@ -494,8 +529,76 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
                         ? fingerprint_chain(slot.data_fp,
                                             strprintf("quantized bits=%d", bits))
                         : slot.data_fp;
-      slot.transfer_cpu += xfer_timer.elapsed();
-      slot.transferred = sim_end->bytes_sent();
+      // The hand-off is a pure function of the share and the couple
+      // signature, so it runs once per sweep (DESIGN.md §10). Its
+      // transfer CPU, robustness counts and data-plane and wire bytes
+      // are recorded with it and replayed on hit and miss alike.
+      std::shared_ptr<const DataSet> fresh; ///< set when this call ran the hand-off
+      const CacheLookup lookup = memoize(
+          &cache, {slot.data_fp, couple_signature(spec, wire_codec, r)},
+          [&]() -> CacheArtifact {
+            ThreadCpuTimer xfer_timer;
+            DataPlaneCapture capture;
+            RunCounterSink wire;
+            const RunSinkScope wire_scope(&wire);
+            auto [sim_end, viz_end] = insitu::make_inproc_channel();
+            if (spec.fault.any()) {
+              sim_end = std::make_unique<insitu::FaultInjector>(
+                  std::move(sim_end), spec.fault, std::uint64_t(2 * r));
+              viz_end = std::make_unique<insitu::FaultInjector>(
+                  std::move(viz_end), spec.fault, std::uint64_t(2 * r + 1));
+            }
+            // One hand-off for both payload kinds. Lossless: the wire
+            // message borrows the dataset's bulk arrays (kept alive by
+            // the shared_ptr keepalive) and the delivered message's
+            // segments back the received dataset copy-on-write, so the
+            // payload crosses the channel without a userspace memcpy.
+            // Quantized: the packed lossy payload travels as one owned
+            // segment, and the frame decoder delivers it as one segment
+            // again (a stored frame's payload slice, or the decompressed
+            // buffer of an lz4 frame).
+            const WireMessage msg = [&] {
+              const trace::Span span("serialize");
+              if (bits == 0) return wire_message_for_dataset(shared);
+              WireMessage packed;
+              packed.append_owned(Buffer::adopt(compress_dataset(*shared, bits)));
+              return packed;
+            }();
+            auto record = std::make_shared<CoupleRecord>();
+            const auto delivered =
+                insitu::transfer_with_retry(*sim_end, *viz_end, msg, spec.transfer_retry,
+                                            record->robustness, wire_codec);
+            if (delivered.has_value()) {
+              const trace::Span span("deserialize");
+              fresh = bits == 0 ? deserialize_dataset(*delivered)
+                                : decompress_dataset(delivered->contiguous_bytes());
+              record->delivered = true;
+              if (bits > 0) record->decoded = fresh;
+            }
+            record->bytes_sent = sim_end->bytes_sent();
+            cluster::PerfCounters recorded;
+            recorded.phases.add("transfer", xfer_timer.elapsed());
+            recorded.bytes_copied = capture.taken().bytes_copied;
+            recorded.bytes_borrowed = capture.taken().bytes_borrowed;
+            recorded.bytes_on_wire = wire.bytes_on_wire.load(std::memory_order_relaxed);
+            recorded.compress_cpu_seconds =
+                wire.compress_cpu_seconds.load(std::memory_order_relaxed);
+            const std::size_t bytes =
+                sizeof(CoupleRecord) +
+                (record->decoded ? static_cast<std::size_t>(record->decoded->byte_size()) : 0);
+            return CacheArtifact{std::move(record), bytes, std::move(recorded), slot.viz_fp};
+          });
+      const CoupleRecord& record = *lookup.as<CoupleRecord>();
+      // A hit hands the viz the share itself (lossless) or the recorded
+      // decoded share (quantized); a miss consumes what it delivered.
+      if (record.delivered) slot.viz_data = fresh ? fresh : bits == 0 ? shared : record.decoded;
+      slot.transfer_cpu += lookup.recorded.phases.get("transfer");
+      slot.transferred = record.bytes_sent;
+      slot.robustness.merge(record.robustness);
+      slot.replay_copied += lookup.recorded.bytes_copied;
+      slot.replay_borrowed += lookup.recorded.bytes_borrowed;
+      slot.replay_on_wire += lookup.recorded.bytes_on_wire;
+      slot.replay_codec_cpu += lookup.recorded.compress_cpu_seconds;
     };
 
     // ---- stage "viz": first collective-bearing stage, always on the
@@ -513,6 +616,8 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
           std::max(gen_phase.parallel_items, slot.generate_items);
       report.counters.bytes_copied += slot.replay_copied;
       report.counters.bytes_borrowed += slot.replay_borrowed;
+      report.counters.bytes_on_wire += slot.replay_on_wire;
+      report.counters.compress_cpu_seconds += slot.replay_codec_cpu;
       if (!tight) {
         // CPU cost lands in the "transfer" phase (informational) and
         // the byte count feeds the interconnect model.
@@ -732,16 +837,10 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
   prefetch_group.wait();
 
   // ---- aggregate measurements and map onto the modelled machine.
-  const Bytes run_bytes_copied =
-      run_sink.bytes_copied.load(std::memory_order_relaxed);
-  const Bytes run_bytes_borrowed =
-      run_sink.bytes_borrowed.load(std::memory_order_relaxed);
-  const Bytes run_bytes_on_wire =
-      run_sink.bytes_on_wire.load(std::memory_order_relaxed);
   RunResult result;
-  result.counters.bytes_copied += run_bytes_copied;
-  result.counters.bytes_borrowed += run_bytes_borrowed;
-  result.counters.bytes_on_wire += run_bytes_on_wire;
+  result.counters.bytes_copied += run_sink.bytes_copied.load(std::memory_order_relaxed);
+  result.counters.bytes_borrowed += run_sink.bytes_borrowed.load(std::memory_order_relaxed);
+  result.counters.bytes_on_wire += run_sink.bytes_on_wire.load(std::memory_order_relaxed);
   result.counters.compress_cpu_seconds +=
       run_sink.compress_cpu_seconds.load(std::memory_order_relaxed);
   result.robustness = robustness_total;
@@ -773,8 +872,8 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
       transferred_total / static_cast<Bytes>(std::max(1, M)) *
       static_cast<Bytes>(internode ? P_viz : spec.layout.nodes);
 
-  const core::NodePhaseTimes times =
-      core::reduce_reports(reports, spec.machine, options_);
+  result.phase_times = core::reduce_reports(reports, spec.machine, options_);
+  const core::NodePhaseTimes& times = result.phase_times;
   if (std::getenv("ETH_MODEL_DEBUG") != nullptr) {
     std::fprintf(stderr,
                  "[eth model] %s: gen=%.4fs(u=%.2f) viz=%.4fs(u=%.2f) "
@@ -792,14 +891,14 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
   result.busy_spans = timeline.spans();
 
   // Observability (DESIGN.md §11): sample this run's data-plane and
-  // cache counters as trace counters, and project the modelled
-  // BusySpans onto "model node" tracks (modelled seconds scaled to
-  // trace nanoseconds) so the simulated timeline sits next to the
-  // measured wall spans in one Perfetto view.
+  // cache counters (cache-replayed bytes included) as trace counters,
+  // and project the modelled BusySpans onto "model node" tracks
+  // (modelled seconds scaled to trace nanoseconds) so the simulated
+  // timeline sits next to the measured wall spans in one Perfetto view.
   if (trace::enabled()) {
-    trace::counter("bytes_copied", double(run_bytes_copied));
-    trace::counter("bytes_borrowed", double(run_bytes_borrowed));
-    trace::counter("bytes_on_wire", double(run_bytes_on_wire));
+    trace::counter("bytes_copied", double(result.counters.bytes_copied));
+    trace::counter("bytes_borrowed", double(result.counters.bytes_borrowed));
+    trace::counter("bytes_on_wire", double(result.counters.bytes_on_wire));
     trace::counter("cache_bytes", double(cache_stats_after.bytes_resident));
     for (const cluster::BusySpan& span : result.busy_spans)
       trace::emit_span_at(span.label,

@@ -6,6 +6,7 @@
 // Also hosts the image-quality metric the paper uses (RMSE, Table II)
 // and PPM output for eyeballing results.
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,7 +64,7 @@ public:
     return color_.size() * sizeof(Vec4f) + depth_.size() * sizeof(Real);
   }
 
-  /// Binary PPM (P6) dump; gamma 2.2, colors clamped to [0,1].
+  /// Binary PPM (P6) dump; each channel encoded by ppm_channel_byte.
   void write_ppm(const std::string& path) const;
 
 private:
@@ -76,6 +77,13 @@ private:
   std::vector<Vec4f> color_;
   std::vector<Real> depth_;
 };
+
+/// One color channel as a PPM byte: clamped to [0, 1], gamma 2.2,
+/// rounded. ppm_channel_byte looks the byte up in a table built once
+/// from ppm_channel_byte_pow, the pow expression it replaces; both give
+/// the same byte for every float (NaN takes the pow path).
+std::uint8_t ppm_channel_byte(Real c);
+std::uint8_t ppm_channel_byte_pow(Real c);
 
 /// Root-mean-square error over RGB channels between two same-size
 /// images, the quality metric of the paper's Table II. Colors are

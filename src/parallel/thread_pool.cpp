@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/run_counters.hpp"
@@ -68,15 +69,26 @@ void TaskGroup::launch(ThreadPool& pool, std::function<void()> task) {
     ++pending_;
   }
   pool.submit([this, task = std::move(task)] {
-    task();
+    std::exception_ptr error;
+    try {
+      task();
+    } catch (...) {
+      error = std::current_exception();
+    }
     std::lock_guard<std::mutex> lock(mutex_);
+    if (error && !error_) error_ = error;
     if (--pending_ == 0) done_.notify_all();
   });
 }
 
-void TaskGroup::wait() {
+std::exception_ptr TaskGroup::join() {
   std::unique_lock<std::mutex> lock(mutex_);
   done_.wait(lock, [this] { return pending_ == 0; });
+  return std::exchange(error_, nullptr);
+}
+
+void TaskGroup::wait() {
+  if (const std::exception_ptr error = join()) std::rethrow_exception(error);
 }
 
 void ThreadPool::worker_loop() {

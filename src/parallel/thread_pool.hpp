@@ -13,6 +13,7 @@
 // runs in the exact same order) as an N-thread run.
 
 #include <condition_variable>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -69,15 +70,16 @@ private:
 /// instead counts only the tasks launched through it and wait() blocks
 /// until those — and nothing else — have finished.
 ///
-/// launch() wraps the task so the pending count drops on completion;
-/// the wrapped task inherits the pool's no-throw contract (a throwing
-/// task still terminates via the worker's noexcept boundary). wait()
-/// may be called repeatedly and from any thread; the destructor joins
-/// outstanding tasks so a group can never dangle out from under them.
+/// launch() wraps the task so the pending count drops on completion
+/// and an exception the task throws is kept instead of reaching the
+/// worker's noexcept boundary. wait() may be called repeatedly and from
+/// any thread; it rethrows the first exception a task threw since the
+/// last wait(). The destructor joins outstanding tasks so a group can
+/// never dangle out from under them, and drops any kept exception.
 class TaskGroup {
 public:
   TaskGroup() = default;
-  ~TaskGroup() { wait(); }
+  ~TaskGroup() { join(); }
 
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
@@ -85,13 +87,19 @@ public:
   /// Submit `task` to `pool`, tracked by this group.
   void launch(ThreadPool& pool, std::function<void()> task);
 
-  /// Block until every task launched through this group has finished.
+  /// Block until every task launched through this group has finished,
+  /// then rethrow the first exception one of them threw.
   void wait();
 
 private:
+  /// Block until no launched task is pending; returns the first kept
+  /// exception and clears it.
+  std::exception_ptr join();
+
   std::mutex mutex_;
   std::condition_variable done_;
   Index pending_ = 0;
+  std::exception_ptr error_;
 };
 
 /// Worker count for default-constructed pools: ETH_THREADS when set to a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <vector>
@@ -226,8 +227,9 @@ std::pair<Vec3i, Vec3i> grid_block_range(Vec3i dims, int share, int parts) {
   return {lo, hi};
 }
 
-std::unique_ptr<StructuredGrid> generate_xrage_block(const XrageParams& p, Vec3i lo,
-                                                     Vec3i hi) {
+namespace {
+
+void require_block(const XrageParams& p, Vec3i lo, Vec3i hi) {
   require(p.dims.x >= 2 && p.dims.y >= 2 && p.dims.z >= 2,
           "generate_xrage: dims must be >= 2");
   require(p.domain_size > 0, "generate_xrage: domain_size must be positive");
@@ -235,15 +237,101 @@ std::unique_ptr<StructuredGrid> generate_xrage_block(const XrageParams& p, Vec3i
     require(lo[a] >= 0 && hi[a] <= p.dims[a] && hi[a] - lo[a] >= 2,
             "generate_xrage_block: bad block range");
   }
+}
 
-  // Physical extents proportional to dims; uniform spacing.
-  const Real spacing_val = p.domain_size / Real(p.dims.x - 1);
-  const Vec3f spacing{spacing_val, spacing_val, spacing_val};
+/// Uniform grid spacing: physical extents are proportional to dims.
+Real grid_spacing(const XrageParams& p) { return p.domain_size / Real(p.dims.x - 1); }
 
-  const Vec3i dims{hi.x - lo.x, hi.y - lo.y, hi.z - lo.z};
-  const Vec3f origin{spacing_val * Real(lo.x), spacing_val * Real(lo.y),
-                     spacing_val * Real(lo.z)};
-  auto grid = std::make_unique<StructuredGrid>(dims, origin, spacing);
+/// An empty block [lo, hi) placed at spacing * global index.
+std::unique_ptr<StructuredGrid> empty_block(const XrageParams& p, Vec3i lo, Vec3i hi) {
+  const Real spacing = grid_spacing(p);
+  return std::make_unique<StructuredGrid>(
+      Vec3i{hi.x - lo.x, hi.y - lo.y, hi.z - lo.z},
+      Vec3f{spacing * Real(lo.x), spacing * Real(lo.y), spacing * Real(lo.z)},
+      Vec3f{spacing, spacing, spacing});
+}
+
+/// Block [lo, hi) copied out of `parent`, the block starting at global
+/// index `parent_lo`: every field, row by row.
+std::unique_ptr<StructuredGrid> cut_block(const XrageParams& p, const StructuredGrid& parent,
+                                          Vec3i parent_lo, Vec3i lo, Vec3i hi) {
+  auto grid = empty_block(p, lo, hi);
+  const Vec3i dims = grid->dims();
+  const Vec3i at{lo.x - parent_lo.x, lo.y - parent_lo.y, lo.z - parent_lo.z};
+  const FieldCollection& from = parent.point_fields();
+  for (std::size_t f = 0; f < from.size(); ++f) {
+    const Field& src = from.at(f);
+    grid->point_fields().add(
+        Field(src.name(), grid->num_points(), src.components(), src.association()));
+  }
+  for (std::size_t f = 0; f < from.size(); ++f) {
+    const Index c = from.at(f).components();
+    const Real* in = from.at(f).values().data();
+    Real* out = grid->point_fields().at(f).values().data();
+    for (Index k = 0; k < dims.z; ++k)
+      for (Index j = 0; j < dims.y; ++j)
+        std::copy_n(in + c * parent.point_index(at.x, at.y + j, at.z + k), c * dims.x,
+                    out + c * grid->point_index(0, j, k));
+  }
+  return grid;
+}
+
+bool contains(const std::pair<Vec3i, Vec3i>& outer, const std::pair<Vec3i, Vec3i>& inner) {
+  for (int a = 0; a < 3; ++a)
+    if (inner.first[a] < outer.first[a] || inner.second[a] > outer.second[a]) return false;
+  return true;
+}
+
+Index volume(const std::pair<Vec3i, Vec3i>& range) {
+  return (range.second.x - range.first.x) * (range.second.y - range.first.y) *
+         (range.second.z - range.first.z);
+}
+
+} // namespace
+
+std::vector<std::unique_ptr<StructuredGrid>> generate_xrage_blocks(
+    const XrageParams& params, std::span<const std::pair<Vec3i, Vec3i>> ranges) {
+  for (const auto& [lo, hi] : ranges) require_block(params, lo, hi);
+  // Largest first, each block is cut from the first root that contains
+  // it or becomes a root itself; only roots are synthesized.
+  std::vector<std::size_t> order(ranges.size());
+  std::iota(order.begin(), order.end(), std::size_t(0));
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return volume(ranges[a]) > volume(ranges[b]);
+  });
+  std::vector<std::size_t> roots;
+  std::vector<std::size_t> source(ranges.size()); ///< the root a block comes from
+  for (const std::size_t i : order) {
+    const auto root = std::find_if(roots.begin(), roots.end(), [&](std::size_t j) {
+      return contains(ranges[j], ranges[i]);
+    });
+    source[i] = root != roots.end() ? *root : i;
+    if (root == roots.end()) roots.push_back(i);
+  }
+  // One pool task per root; each root's own row loop then runs inline on
+  // its worker.
+  std::vector<std::unique_ptr<StructuredGrid>> blocks(ranges.size());
+  parallel_for(0, static_cast<Index>(roots.size()), 1, [&](Index begin, Index end) {
+    for (Index n = begin; n < end; ++n) {
+      const auto [lo, hi] = ranges[roots[static_cast<std::size_t>(n)]];
+      blocks[roots[static_cast<std::size_t>(n)]] = generate_xrage_block(params, lo, hi);
+    }
+  });
+  // Every point is a pure function of its global index, so a region of a
+  // root holds exactly what synthesizing it would.
+  for (std::size_t i = 0; i < ranges.size(); ++i)
+    if (source[i] != i)
+      blocks[i] = cut_block(params, *blocks[source[i]], ranges[source[i]].first,
+                            ranges[i].first, ranges[i].second);
+  return blocks;
+}
+
+std::unique_ptr<StructuredGrid> generate_xrage_block(const XrageParams& p, Vec3i lo,
+                                                     Vec3i hi) {
+  require_block(p, lo, hi);
+  auto grid = empty_block(p, lo, hi);
+  const Real spacing_val = grid_spacing(p);
+  const Vec3i dims = grid->dims();
   // Add all fields before looking any up: each add may reallocate the
   // collection's storage, invalidating Field references taken earlier.
   grid->add_scalar_field("temperature");

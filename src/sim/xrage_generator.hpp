@@ -16,6 +16,9 @@
 // are preserved.
 
 #include <memory>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "data/structured_grid.hpp"
 
@@ -42,6 +45,16 @@ std::unique_ptr<StructuredGrid> generate_xrage(const XrageParams& params);
 /// to the same region of the full grid.
 std::unique_ptr<StructuredGrid> generate_xrage_block(const XrageParams& params,
                                                      Vec3i lo, Vec3i hi);
+
+/// Generate the blocks [lo, hi) of `ranges`, each byte-identical to
+/// generate_xrage_block of its range, building each region once: taken
+/// largest first, a block that lies inside an earlier one is cut from it
+/// (origin spacing * global index, as the generator sets it) instead of
+/// synthesized again, and the blocks inside no larger one are
+/// synthesized concurrently on the pool. The result is in `ranges`
+/// order.
+std::vector<std::unique_ptr<StructuredGrid>> generate_xrage_blocks(
+    const XrageParams& params, std::span<const std::pair<Vec3i, Vec3i>> ranges);
 
 /// Near-cubic factorization of `parts` into per-axis block counts for
 /// `dims`, largest factor on the longest axis. Every block keeps >= 2

@@ -9,10 +9,12 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache_state_guard.hpp"
 #include "common/string_util.hpp"
+#include "common/trace.hpp"
 #include "core/artifact_cache.hpp"
 #include "core/harness.hpp"
 #include "core/sweep.hpp"
@@ -65,11 +67,52 @@ ExperimentSpec redistributed(ExperimentSpec spec) {
   return spec;
 }
 
+/// The xrage-proxy workload at mini scale: disk proxy, internode
+/// redistribution, the lz4 codec and seeded transport faults with
+/// retries. Its points differ only in the algorithm, so every hand-off
+/// of the second and third point repeats one of the first's.
+ExperimentSpec xrage_proxy_mini() {
+  ExperimentSpec spec = redistributed(xrage_base(insitu::VizAlgorithm::kVtkGeometry));
+  spec.name = "cache-eq-xrage-proxy";
+  spec.timesteps = 3;
+  spec.transport_codec = "lz4";
+  spec.fault.seed = 1;
+  spec.fault.p_bit_flip = 0.3;
+  spec.fault.p_truncate = 0.1;
+  spec.transfer_retry.max_attempts = 4;
+  return spec;
+}
+
 std::vector<SweepPoint> sampling_sweep(const ExperimentSpec& base) {
   return sweep_over<double>(
       base, {1.0, 0.5},
       [](const double& r) { return strprintf("s%.2f", r); },
       [](const double& r, ExperimentSpec& spec) { spec.viz.sampling_ratio = r; });
+}
+
+/// xrage-proxy's three algorithms.
+std::vector<SweepPoint> algorithm_sweep(const ExperimentSpec& base) {
+  return sweep_over<insitu::VizAlgorithm>(
+      base,
+      {insitu::VizAlgorithm::kVtkGeometry, insitu::VizAlgorithm::kRaycastVolume,
+       insitu::VizAlgorithm::kRaycastDvr},
+      [](const insitu::VizAlgorithm& a) { return std::string(insitu::to_string(a)); },
+      [](const insitu::VizAlgorithm& a, ExperimentSpec& spec) { spec.viz.algorithm = a; });
+}
+
+/// Sweep `points` with tracing on; also returns how many hand-offs ran
+/// (`transfer` spans, one per couple-stage execution).
+std::pair<std::vector<SweepOutcome>, Index> traced_sweep(
+    const Harness& harness, const std::vector<SweepPoint>& points) {
+  trace::reset();
+  trace::set_enabled(true);
+  std::vector<SweepOutcome> outcomes = run_sweep(harness, points);
+  trace::set_enabled(false);
+  Index transfers = 0;
+  for (const trace::TraceEvent& e : trace::snapshot())
+    transfers += std::string(e.name) == "transfer" ? 1 : 0;
+  trace::reset();
+  return {std::move(outcomes), transfers};
 }
 
 std::vector<std::vector<std::uint8_t>> packed_images(
@@ -101,7 +144,9 @@ void expect_tables_match_modulo_cache(const ResultTable& a, const ResultTable& b
     }
 }
 
-void expect_equivalence(const ExperimentSpec& base, bool with_disk_proxy) {
+void expect_equivalence(
+    const ExperimentSpec& base, bool with_disk_proxy,
+    std::vector<SweepPoint> (*make_sweep)(const ExperimentSpec&) = sampling_sweep) {
   CacheStateGuard guard;
   ArtifactCache& cache = global_artifact_cache();
   ExperimentSpec spec = base;
@@ -112,17 +157,28 @@ void expect_equivalence(const ExperimentSpec& base, bool with_disk_proxy) {
             .string();
     std::filesystem::remove_all(spec.proxy_dir);
   }
-  const std::vector<SweepPoint> points = sampling_sweep(spec);
+  const std::vector<SweepPoint> points = make_sweep(spec);
   const Harness harness;
 
   cache.set_enabled(false);
-  const auto off = run_sweep(harness, points);
+  const auto [off, off_transfers] = traced_sweep(harness, points);
 
   cache.set_enabled(true);
   cache.clear();
-  const auto cold = run_sweep(harness, points);
+  const auto [cold, cold_transfers] = traced_sweep(harness, points);
 
-  const auto warm = run_sweep(harness, points); // cache still populated
+  // cache still populated
+  const auto [warm, warm_transfers] = traced_sweep(harness, points);
+
+  // The couple stage runs once per (rank, timestep) and sweep: every
+  // point with the cache off, only the first to ask with it cold, and
+  // never warm. Tight coupling has no hand-off.
+  const Index handoffs = spec.layout.coupling == cluster::Coupling::kTight
+                             ? 0
+                             : Index(spec.layout.ranks) * spec.timesteps;
+  EXPECT_EQ(off_transfers, Index(points.size()) * handoffs);
+  EXPECT_EQ(cold_transfers, handoffs);
+  EXPECT_EQ(warm_transfers, 0);
 
   // Images: bitwise identical across all three modes, per sweep point.
   const auto off_imgs = packed_images(off);
@@ -185,6 +241,21 @@ TEST(CacheEquivalence, HaccInternodeSweepInMemory) {
 TEST(CacheEquivalence, XrageInternodeSweepWithDiskProxy) {
   expect_equivalence(redistributed(xrage_base(insitu::VizAlgorithm::kRaycastVolume)),
                      /*with_disk_proxy=*/true);
+}
+
+// xrage-proxy's shape: the faulted lz4 hand-off replays its robustness
+// counts, wire bytes and data-plane split from the couple memo, and a
+// lossless hit hands the viz the consumed share itself.
+TEST(CacheEquivalence, XrageProxyAlgorithmSweepFaultedLz4) {
+  expect_equivalence(xrage_proxy_mini(), /*with_disk_proxy=*/true, algorithm_sweep);
+}
+
+// The quantized hand-off: the couple memo holds the decoded share.
+TEST(CacheEquivalence, XrageProxyAlgorithmSweepQuantized) {
+  ExperimentSpec spec = xrage_proxy_mini();
+  spec.name += "-q8";
+  spec.transport_quantization_bits = 8;
+  expect_equivalence(spec, /*with_disk_proxy=*/true, algorithm_sweep);
 }
 
 TEST(CacheEquivalence, WarmDiskProxyRunRecordsPrefetchHits) {

@@ -102,7 +102,7 @@ struct RunFingerprints {
   std::uint64_t image = 0;      ///< packed final composited image
   std::uint64_t robustness = 0; ///< robustness_table CSV text
   std::uint64_t trace_hist = 0; ///< sorted (name, track) -> count histogram
-  double makespan = 0;          ///< modelled exec_seconds
+  core::NodePhaseTimes phase_times; ///< the modelled timeline's inputs
 };
 
 RunFingerprints run_and_fingerprint(const ExperimentSpec& spec) {
@@ -125,7 +125,7 @@ RunFingerprints run_and_fingerprint(const ExperimentSpec& spec) {
     fp.update_u64(static_cast<std::uint64_t>(count));
   }
   out.trace_hist = fp.digest();
-  out.makespan = result.exec_seconds;
+  out.phase_times = result.phase_times;
   trace::reset();
   return out;
 }
@@ -209,7 +209,10 @@ TEST(PipelineEquivalence, AsyncDepthOneMatchesIntercoreGolden) {
 // timesteps. Artifacts must not notice: images and the full robustness/
 // data-plane counter table stay bit-identical to depth 1, while the
 // modelled makespan strictly shrinks (that is the whole point of the
-// async coupling).
+// async coupling). Each run's makespan is priced from its own measured
+// CPU, so the makespans of two runs can swap under host contention; the
+// shrink is asserted on the depth-1 run's phase times, composed at
+// depths 1, 2 and 3.
 TEST(PipelineEquivalence, AsyncDepthKeepsArtifactsAndShrinksMakespan) {
   const CacheOffGuard cache_off;
   const TraceResetGuard trace_guard;
@@ -227,8 +230,18 @@ TEST(PipelineEquivalence, AsyncDepthKeepsArtifactsAndShrinksMakespan) {
       const RunFingerprints deep = run_and_fingerprint(spec);
       EXPECT_EQ(deep.image, depth1.image);
       EXPECT_EQ(deep.robustness, depth1.robustness);
-      EXPECT_LT(deep.makespan, depth1.makespan);
     }
+    const Harness harness;
+    const auto makespan = [&](int depth) {
+      return core::compose_timeline(depth1.phase_times, base.layout, base.machine,
+                                    harness.options(), base.timesteps,
+                                    base.viz.images_per_timestep,
+                                    harness.options().direct_send_composite, depth)
+          .report()
+          .makespan;
+    };
+    EXPECT_LT(makespan(2), makespan(1));
+    EXPECT_LE(makespan(3), makespan(2));
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
@@ -117,6 +120,46 @@ TEST(ImageBuffer, WritePpmProducesValidHeaderAndSize) {
 TEST(ImageBuffer, WritePpmFailsOnBadPath) {
   const ImageBuffer img(2, 2);
   EXPECT_THROW(img.write_ppm("/nonexistent_dir_xyz/out.ppm"), Error);
+}
+
+// write_ppm's gamma table must give the pow expression's byte for every
+// float. Check every float within 2^16 bit patterns of each threshold
+// (the least float in [0, 1] whose byte reaches k), a stride-97 sample of
+// [0, 1], and the values clamping and NaN handle.
+TEST(ImageBuffer, PpmGammaTableMatchesPowPath) {
+  constexpr std::uint32_t kOne = 0x3F800000u; // bit pattern of 1.0f
+  constexpr std::uint32_t kWindow = 1u << 16;
+  Index mismatches = 0;
+  std::uint32_t first_mismatch = 0;
+  const auto check = [&](std::uint32_t bits) {
+    const Real v = std::bit_cast<Real>(bits);
+    if (ppm_channel_byte(v) == ppm_channel_byte_pow(v)) return;
+    if (mismatches++ == 0) first_mismatch = bits;
+  };
+  for (int k = 1; k <= 255; ++k) {
+    std::uint32_t lo = 0, hi = kOne; // byte(lo) < k <= byte(hi)
+    while (hi - lo > 1) {
+      const std::uint32_t mid = lo + (hi - lo) / 2;
+      (ppm_channel_byte_pow(std::bit_cast<Real>(mid)) >= k ? hi : lo) = mid;
+    }
+    for (std::uint32_t b = hi > kWindow ? hi - kWindow : 0; b <= std::min(kOne, hi + kWindow);
+         ++b)
+      check(b);
+  }
+  for (std::uint32_t b = 0; b <= kOne; b += 97) check(b);
+  EXPECT_EQ(mismatches, 0) << "first at bit pattern " << std::hex << first_mismatch;
+
+  EXPECT_EQ(ppm_channel_byte(0.0f), 0);
+  EXPECT_EQ(ppm_channel_byte(-0.0f), 0);
+  EXPECT_EQ(ppm_channel_byte(-0.5f), 0);
+  EXPECT_EQ(ppm_channel_byte(1.0f), 255);
+  EXPECT_EQ(ppm_channel_byte(1.5f), 255);
+  EXPECT_EQ(ppm_channel_byte(std::numeric_limits<Real>::infinity()), 255);
+  EXPECT_EQ(ppm_channel_byte(-std::numeric_limits<Real>::infinity()), 0);
+  for (const Real v : {0.0f, -0.0f, -0.5f, 1.0f, 1.5f, std::numeric_limits<Real>::infinity(),
+                       -std::numeric_limits<Real>::infinity(),
+                       std::numeric_limits<Real>::quiet_NaN()})
+    EXPECT_EQ(ppm_channel_byte(v), ppm_channel_byte_pow(v)) << v;
 }
 
 } // namespace

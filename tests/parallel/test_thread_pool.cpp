@@ -257,6 +257,20 @@ TEST(TaskGroup, WaitOnEmptyGroupReturnsAndIsRepeatable) {
   group.wait();
 }
 
+TEST(TaskGroup, WaitRethrowsATaskExceptionAfterEveryTaskFinished) {
+  ThreadPool pool(2);
+  std::atomic<int> completed{0};
+  TaskGroup group;
+  group.launch(pool, [] { throw Error("write failed"); });
+  for (int i = 0; i < 4; ++i) group.launch(pool, [&] { completed.fetch_add(1); });
+  EXPECT_THROW(group.wait(), Error);
+  EXPECT_EQ(completed.load(), 4);
+  // The exception is rethrown once; the group stays usable.
+  group.launch(pool, [&] { completed.fetch_add(1); });
+  group.wait();
+  EXPECT_EQ(completed.load(), 5);
+}
+
 TEST(DefaultThreadCount, HonorsEthThreadsEnv) {
   setenv("ETH_THREADS", "3", 1);
   EXPECT_EQ(default_thread_count(), 3u);

@@ -6,10 +6,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/fingerprint.hpp"
 #include "common/rng.hpp"
+#include "data/serialize.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace eth::sim {
@@ -382,12 +384,71 @@ TEST(GridBlockRange, CoversGridWithOverlap) {
   for (const char c : covered) EXPECT_EQ(c, 1);
 }
 
+/// Each of `ranks` ranks' dump blocks as the harness asks for them: its
+/// share of `sim_parts`, then (when `viz_parts` > 0) its share of
+/// `viz_parts`.
+std::vector<std::pair<Vec3i, Vec3i>> dump_ranges(Vec3i dims, int ranks, int sim_parts,
+                                                 int viz_parts) {
+  std::vector<std::pair<Vec3i, Vec3i>> ranges;
+  for (int r = 0; r < ranks; ++r) {
+    ranges.push_back(grid_block_range(dims, r * sim_parts / ranks, sim_parts));
+    if (viz_parts > 0) ranges.push_back(grid_block_range(dims, r * viz_parts / ranks, viz_parts));
+  }
+  return ranges;
+}
+
+bool inside(const std::pair<Vec3i, Vec3i>& inner, const std::pair<Vec3i, Vec3i>& outer) {
+  for (int a = 0; a < 3; ++a)
+    if (inner.first[a] < outer.first[a] || inner.second[a] > outer.second[a]) return false;
+  return true;
+}
+
+TEST(XrageGenerator, CutBlocksSerializeLikeSynthesizedBlocks) {
+  // xrage-proxy's split (4 ranks, 48 sim and 16 viz shares) on half its
+  // grid, which factors the same way: every sim block lies inside its
+  // rank's viz block and is cut from it.
+  const Vec3i dims{96, 60, 48};
+  for (const int parts : {16, 48})
+    ASSERT_EQ(block_factorization(dims, parts), block_factorization({192, 120, 96}, parts));
+  const auto split = dump_ranges(dims, 4, 48, 16);
+  for (std::size_t r = 0; r < 4; ++r) EXPECT_TRUE(inside(split[2 * r], split[2 * r + 1]));
+  // Four shares of 4: neighbours share a plane, none lies inside another.
+  const auto uncut = dump_ranges(dims, 4, 4, 0);
+  for (std::size_t a = 0; a < uncut.size(); ++a)
+    for (std::size_t b = 0; b < uncut.size(); ++b)
+      EXPECT_TRUE(a == b || !inside(uncut[a], uncut[b]));
+
+  // Blocks from y = 0 reach below the plume's top and tabulate its
+  // noise; blocks from y = 30 lie above it at every timestep here.
+  XrageParams p;
+  p.dims = dims;
+  for (const std::uint64_t seed : {99ull, 2024ull})
+    for (Index t = 0; t < 3; ++t) {
+      p.seed = seed;
+      p.timestep = t;
+      for (const auto* ranges : {&split, &uncut}) {
+        const auto blocks = generate_xrage_blocks(p, *ranges);
+        ASSERT_EQ(blocks.size(), ranges->size());
+        for (std::size_t i = 0; i < blocks.size(); ++i) {
+          const auto [lo, hi] = (*ranges)[i];
+          EXPECT_EQ(serialize_dataset(*blocks[i]),
+                    serialize_dataset(*generate_xrage_block(p, lo, hi)))
+              << "seed " << seed << " t " << t << " block " << i;
+        }
+      }
+    }
+}
+
 TEST(XrageGenerator, RejectsBadBlocksAndParams) {
   XrageParams p;
   p.dims = {8, 8, 8};
   EXPECT_THROW(generate_xrage_block(p, {0, 0, 0}, {1, 8, 8}), Error); // too thin
   EXPECT_THROW(generate_xrage_block(p, {0, 0, 0}, {9, 8, 8}), Error); // out of range
   EXPECT_THROW(generate_xrage_block(p, {-1, 0, 0}, {4, 4, 4}), Error);
+  // A thin block inside a valid one is rejected, not cut.
+  const std::pair<Vec3i, Vec3i> whole_and_thin[] = {{{0, 0, 0}, {8, 8, 8}},
+                                                    {{0, 0, 0}, {1, 8, 8}}};
+  EXPECT_THROW(generate_xrage_blocks(p, whole_and_thin), Error);
   p.dims = {1, 8, 8};
   EXPECT_THROW(generate_xrage(p), Error);
   p = XrageParams{};

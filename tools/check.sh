@@ -56,10 +56,13 @@ run_variant build-release -DCMAKE_BUILD_TYPE=Release
 # bit-identical images with the cache off, cold, or warm. With the
 # cache off every lookup computes through the same path, so modelled
 # generate is charged as with it on and dumps are written once
-# (Harness.CacheOff*). Run the gate by name so a filter typo can't
-# silently skip it.
+# (Harness.CacheOff*). Two byte-identity tests ride along: dump blocks
+# cut from a larger block serialize like synthesized ones, and the PPM
+# gamma table gives the pow expression's byte. Run the gate by name so
+# a filter typo or a rename can't silently skip it.
 echo "==== cache equivalence (build-release) ===="
-run_gate build-release 'CacheEquivalence|Harness.CacheOff'
+run_gate build-release \
+  'CacheEquivalence|Harness.CacheOff|XrageGenerator.CutBlocksSerializeLikeSynthesizedBlocks|ImageBuffer.PpmGammaTableMatchesPowPath'
 
 # SimdGate (DESIGN.md §14): the lane layer promises every image,
 # counter table and robustness row bit-identical across ETH_SIMD=scalar
