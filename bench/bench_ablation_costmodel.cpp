@@ -1,11 +1,8 @@
-// Ablation: cost-model inputs and acceleration structures
-// (DESIGN.md §4.1).
+// Ablation: cost-model inputs (DESIGN.md §4.1).
 //
 // Two studies:
-//  * MinMaxGrid empty-space skipping for the volume raycaster — the
-//    optional acceleration the default pipelines leave off (turbulent
-//    fields defeat value-range skipping); quantifies what it buys on
-//    ETH's synthetic asteroid field.
+//  * The volume raycaster's isosurface march on ETH's synthetic
+//    asteroid field: time and fine steps per ray.
 //  * Rendering-kernel throughput per algorithm — the raw measured
 //    quantities (per-thread CPU time) that feed the cluster model.
 
@@ -32,12 +29,10 @@ const StructuredGrid& asteroid() {
 }
 
 void BM_IsoRaycast(benchmark::State& state) {
-  const bool accelerate = state.range(0) != 0;
   const StructuredGrid& grid = asteroid();
   const Camera camera = Camera::framing(grid.bounds(), {-0.5f, -0.4f, -0.75f});
   RaycastRenderer renderer;
   cluster::PerfCounters counters;
-  if (accelerate) renderer.build_volume(grid, "temperature", counters);
   IsoRaycastOptions options;
   options.isovalue = 0.5f;
   for (auto _ : state) {
@@ -50,7 +45,7 @@ void BM_IsoRaycast(benchmark::State& state) {
   state.counters["steps/ray"] =
       double(counters.ray_steps) / double(counters.rays_cast);
 }
-BENCHMARK(BM_IsoRaycast)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_IsoRaycast)->Unit(benchmark::kMillisecond);
 
 void BM_VizKernel(benchmark::State& state) {
   const auto algorithm = static_cast<insitu::VizAlgorithm>(state.range(0));

@@ -29,19 +29,17 @@ void BM_Sampler(benchmark::State& state) {
   const auto mode = static_cast<SamplingMode>(state.range(0));
   const double ratio = double(state.range(1)) / 100.0;
   const auto data = particles();
+  const SpatialSampler sampler(ratio, mode, 7);
   for (auto _ : state) {
-    SpatialSampler sampler(ratio, mode, 7);
-    sampler.set_input(data);
-    const auto out = sampler.update();
+    const auto out = sampler.run(*data).as<DataSet>();
     benchmark::DoNotOptimize(out->num_points());
   }
   state.SetItemsProcessed(state.iterations() * data->num_points());
 
   // Coverage statistic: fraction of occupied coarse cells that survive
   // sampling (stratified modes should keep sparse regions alive).
-  SpatialSampler sampler(ratio, mode, 7);
-  sampler.set_input(data);
-  const auto& sampled = static_cast<const PointSet&>(*sampler.update());
+  const auto sampled_set = sampler.run(*data).as<PointSet>();
+  const PointSet& sampled = *sampled_set;
   const AABB box = data->bounds();
   const auto cell_of = [&](Vec3f p) {
     const Index c = 8;

@@ -116,11 +116,8 @@ int main() {
   sphere_opts.scalar_field = "speed";
   cluster::PerfCounters setup_counters;
   raycaster.build_spheres(*points, sphere_opts, setup_counters);
-  raycaster.build_volume(*grid, "v", setup_counters);
 
-  IsosurfaceExtractor extract("v", 0.4f);
-  extract.set_input(std::shared_ptr<const DataSet>(grid));
-  const auto iso_mesh = extract.update();
+  const auto iso_mesh = IsosurfaceExtractor("v", 0.4f).run(*grid).as<DataSet>();
 
   const std::vector<Scene> scenes = {
       {"raycast_spheres",

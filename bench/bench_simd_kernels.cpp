@@ -141,8 +141,6 @@ Row bench_march_iso() {
       }
   const Camera camera({0, 0, 10}, {0, 0, 0}, {0, 1, 0}, 0.6f, 0.1f, 100);
   RaycastRenderer renderer;
-  cluster::PerfCounters build_c;
-  renderer.build_volume(*grid, "v", build_c);
 
   const auto render = [&] {
     ImageBuffer img(image_dim, image_dim);

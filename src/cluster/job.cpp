@@ -1,10 +1,6 @@
 #include "cluster/job.hpp"
 
-#include <fstream>
-#include <sstream>
-
 #include "common/error.hpp"
-#include "common/string_util.hpp"
 
 namespace eth::cluster {
 
@@ -51,63 +47,6 @@ void JobLayout::validate() const {
   } else {
     require(viz_nodes == 0, "JobLayout: viz_nodes is only valid for internode coupling");
   }
-}
-
-std::string JobLayout::to_text() const {
-  std::ostringstream os;
-  os << "# ETH job layout\n";
-  os << "coupling " << to_string(coupling) << '\n';
-  os << "nodes " << nodes << '\n';
-  os << "ranks " << ranks << '\n';
-  if (coupling == Coupling::kInternode) os << "viz_nodes " << viz_node_count() << '\n';
-  return os.str();
-}
-
-JobLayout JobLayout::from_text(const std::string& text) {
-  JobLayout layout;
-  bool saw_coupling = false, saw_nodes = false, saw_ranks = false;
-  for (const std::string& raw : split(text, '\n')) {
-    const std::string_view line = trim(raw);
-    if (line.empty() || line[0] == '#') continue;
-    const auto space = line.find(' ');
-    require(space != std::string_view::npos, "job layout: malformed line '" +
-                                                 std::string(line) + "'");
-    const std::string_view key = line.substr(0, space);
-    const std::string_view value = trim(line.substr(space + 1));
-    if (key == "coupling") {
-      layout.coupling = coupling_from_string(value);
-      saw_coupling = true;
-    } else if (key == "nodes") {
-      layout.nodes = static_cast<int>(parse_index(value, "job layout nodes"));
-      saw_nodes = true;
-    } else if (key == "ranks") {
-      layout.ranks = static_cast<int>(parse_index(value, "job layout ranks"));
-      saw_ranks = true;
-    } else if (key == "viz_nodes") {
-      layout.viz_nodes = static_cast<int>(parse_index(value, "job layout viz_nodes"));
-    } else {
-      fail("job layout: unknown key '" + std::string(key) + "'");
-    }
-  }
-  require(saw_coupling && saw_nodes && saw_ranks,
-          "job layout: coupling, nodes and ranks are all required");
-  layout.validate();
-  return layout;
-}
-
-void JobLayout::save(const std::string& path) const {
-  std::ofstream f(path);
-  require(f.good(), "JobLayout::save: cannot open '" + path + "'");
-  f << to_text();
-  require(f.good(), "JobLayout::save: write failed for '" + path + "'");
-}
-
-JobLayout JobLayout::load(const std::string& path) {
-  std::ifstream f(path);
-  require(f.good(), "JobLayout::load: cannot open '" + path + "'");
-  std::ostringstream os;
-  os << f.rdbuf();
-  return from_text(os.str());
 }
 
 } // namespace eth::cluster

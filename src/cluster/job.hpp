@@ -4,9 +4,11 @@
 // Section VII of the paper: "The job layout (i.e., where the
 // visualization and simulation proxies are run) is specified in a
 // separate file ... For subsequent exploration of a different layout,
-// the user simply changes the job layout file." This module is that
-// file: the three coupling strategies of Section IV-B plus node/rank
-// counts, with a plain-text round-trippable representation.
+// the user simply changes the job layout file." This module is the
+// layout itself: the three coupling strategies of Section IV-B plus
+// node/rank counts. Its file is an experiment config
+// (core/spec_config.hpp): the `coupling`, `nodes`, `ranks` and
+// `viz_nodes` keys set it.
 
 #include <string>
 
@@ -45,18 +47,6 @@ struct JobLayout {
 
   /// Throws eth::Error when counts are inconsistent.
   void validate() const;
-
-  /// Serialize to the layout-file format:
-  ///   # ETH job layout
-  ///   coupling internode
-  ///   nodes 400
-  ///   ranks 16
-  ///   viz_nodes 200
-  std::string to_text() const;
-  static JobLayout from_text(const std::string& text);
-
-  void save(const std::string& path) const;
-  static JobLayout load(const std::string& path);
 };
 
 } // namespace eth::cluster

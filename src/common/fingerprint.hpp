@@ -7,8 +7,7 @@
 // datasets in one pass at memory speed. Incremental updates let a
 // WireMessage be fingerprinted segment by segment — zero copies, and
 // the digest is independent of how the byte stream is split into
-// segments (fingerprint_message of a scatter-gather message equals
-// fingerprint_bytes of its flattened stream).
+// segments.
 //
 // Fingerprints name IMMUTABLE VALUES, never objects: two datasets with
 // the same bytes share a fingerprint, and a cache entry keyed by one is
@@ -22,8 +21,6 @@
 #include <cstring>
 #include <span>
 #include <string_view>
-
-#include "common/buffer.hpp"
 
 namespace eth {
 
@@ -200,16 +197,6 @@ inline std::uint64_t fingerprint_bytes(std::span<const std::uint8_t> bytes,
 inline std::uint64_t fingerprint_string(std::string_view s, std::uint64_t seed = 0) {
   Fingerprinter fp(seed);
   fp.update(s.data(), s.size());
-  return fp.digest();
-}
-
-/// One streaming pass over a scatter-gather message, zero copies.
-/// Segment boundaries are invisible: equals fingerprint_bytes of the
-/// flattened stream.
-inline std::uint64_t fingerprint_message(const WireMessage& msg,
-                                         std::uint64_t seed = 0) {
-  Fingerprinter fp(seed);
-  for (const WireMessage::Segment& seg : msg.segments()) fp.update(seg.bytes);
   return fp.digest();
 }
 

@@ -18,19 +18,13 @@
 
 namespace eth::simd {
 
-/// POD view of a StructuredGrid + scalar Field + optional MinMaxGrid,
-/// enough to reproduce StructuredGrid::sample and
-/// MinMaxGrid::may_contain lane-wise.
+/// POD view of a StructuredGrid + scalar Field, enough to reproduce
+/// StructuredGrid::sample lane-wise.
 struct GridView {
   const float* field = nullptr; ///< point scalars, x-fastest
   std::int32_t dims_x = 0, dims_y = 0, dims_z = 0;
   float org_x = 0, org_y = 0, org_z = 0;
   float sp_x = 0, sp_y = 0, sp_z = 0;
-  // Min-max macrocell grid; mm_ranges == nullptr disables skipping.
-  const float* mm_ranges = nullptr; ///< interleaved (min, max) pairs
-  std::int32_t mm_dims_x = 0, mm_dims_y = 0, mm_dims_z = 0;
-  float mm_org_x = 0, mm_org_y = 0, mm_org_z = 0;
-  float mm_inv_x = 0, mm_inv_y = 0, mm_inv_z = 0;
 };
 
 /// One row block of rays for march_iso, SoA with `count` <= table
@@ -105,7 +99,7 @@ struct KernelTable {
   /// march_iso loop up to (but excluding) bisection refinement, which
   /// the caller runs per hit lane on the returned bracket.
   void (*march_iso)(const GridView& grid, float isovalue, float step,
-                    float skip_step, const MarchRays& rays, MarchHits& out);
+                    const MarchRays& rays, MarchHits& out);
 
   /// Depth-test merge (compositor merge_pair_range): rgba is 4 floats
   /// per pixel, src wins on strictly smaller depth.

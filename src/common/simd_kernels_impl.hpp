@@ -197,56 +197,20 @@ ETH_SIMD_INLINE pack<float, W> sample_grid(const GridView& g, pack<float, W> px,
   return lerpv(c0, c1, fz);
 }
 
-// Vector MinMaxGrid::may_contain (src/render/ray/raycaster.cpp): float
-// negativity checks, truncating casts, int bounds, range lookup. The
-// int bound check also catches the out-of-range-cast sentinel lanes
-// (huge rel -> INT32_MIN fails mi >= 0, matching the scalar reject).
-template <int W>
-ETH_SIMD_INLINE typename pack<float, W>::mask may_contain(const GridView& g,
-                                                          float isovalue,
-                                                          pack<float, W> px,
-                                                          pack<float, W> py,
-                                                          pack<float, W> pz) {
-  using pf = pack<float, W>;
-  using pi = pack<std::int32_t, W>;
-  using mask = typename pf::mask;
-
-  const pf relx = (px - pf::broadcast(g.mm_org_x)) * pf::broadcast(g.mm_inv_x);
-  const pf rely = (py - pf::broadcast(g.mm_org_y)) * pf::broadcast(g.mm_inv_y);
-  const pf relz = (pz - pf::broadcast(g.mm_org_z)) * pf::broadcast(g.mm_inv_z);
-  const pi mi = to_int(relx), mj = to_int(rely), mk = to_int(relz);
-
-  const pf zerov = pf::zero();
-  const pi izero = pi::zero();
-  const mask in_bounds = ~(relx < zerov) & ~(rely < zerov) & ~(relz < zerov) &
-                         (mi >= izero) & (mi < pi::broadcast(g.mm_dims_x)) &
-                         (mj >= izero) & (mj < pi::broadcast(g.mm_dims_y)) &
-                         (mk >= izero) & (mk < pi::broadcast(g.mm_dims_z));
-
-  pi cell = mi + pi::broadcast(g.mm_dims_x) * (mj + pi::broadcast(g.mm_dims_y) * mk);
-  cell = pi::select(in_bounds, cell, izero); // clamp rejected lanes' gather
-  const pi pair_idx = cell + cell;           // interleaved (min, max)
-  const pf rmin = pf::gather(g.mm_ranges, pair_idx);
-  const pf rmax = pf::gather(g.mm_ranges, pair_idx + pi::broadcast(1));
-  const pf isov = pf::broadcast(isovalue);
-  return in_bounds & (isov >= rmin) & (isov <= rmax);
-}
-
 // Mirrors the march_iso loop in src/render/ray/raycaster.cpp up to (not
 // including) bisection: lockstep lanes share the iteration structure;
 // each lane's (prev_t, prev_v, t) sequence — and therefore its
 // crossing bracket and step count — is identical to the scalar loop's.
 template <int W>
-void march_iso(const GridView& g, float isovalue, float step, float skip_step,
-               const MarchRays& rays, MarchHits& out) {
+void march_iso(const GridView& g, float isovalue, float step, const MarchRays& rays,
+               MarchHits& out) {
   using pf = pack<float, W>;
   using mask = typename pf::mask;
 
-  const bool use_skip = g.mm_ranges != nullptr;
   const pf oxv = pf::broadcast(rays.ox), oyv = pf::broadcast(rays.oy),
            ozv = pf::broadcast(rays.oz);
   const pf dxv = pf::load(rays.dx), dyv = pf::load(rays.dy), dzv = pf::load(rays.dz);
-  const pf stepv = pf::broadcast(step), skipv = pf::broadcast(skip_step);
+  const pf stepv = pf::broadcast(step);
   const pf isov = pf::broadcast(isovalue);
   const pf tlim = pf::load(rays.t_limit);
   const pf zerov = pf::zero();
@@ -271,23 +235,19 @@ void march_iso(const GridView& g, float isovalue, float step, float skip_step,
   std::int64_t steps = 0;
 
   while (any(alive)) {
-    steps += std::popcount(movemask(alive)); // scalar: ++steps both branches
-    mask skipm = falsem;
-    if (use_skip)
-      skipm = alive & ~may_contain<W>(g, isovalue, posx(t), posy(t), posz(t));
-    const pf ts = pf::select(skipm, t + skipv, t); // skip: t += max(skip, step)
-    const pf v = sample_grid<W>(g, posx(ts), posy(ts), posz(ts));
-    // Crossing test only on non-skip lanes, exactly the scalar predicate.
-    const mask cross = (alive & ~skipm) &
-                       ((prev_v - isov) * (v - isov) <= zerov) & (prev_v != v);
+    steps += std::popcount(movemask(alive)); // scalar: ++steps per sample
+    const pf v = sample_grid<W>(g, posx(t), posy(t), posz(t));
+    // Exactly the scalar crossing predicate.
+    const mask cross =
+        alive & ((prev_v - isov) * (v - isov) <= zerov) & (prev_v != v);
     hit_a = pf::select(cross, prev_t, hit_a);
-    hit_b = pf::select(cross, t, hit_b); // ts == t on non-skip lanes
+    hit_b = pf::select(cross, t, hit_b);
     hit_va = pf::select(cross, prev_v, hit_va);
     hitm = hitm | cross;
     alive = alive & ~cross;
-    prev_t = pf::select(alive, ts, prev_t);
+    prev_t = pf::select(alive, t, prev_t);
     prev_v = pf::select(alive, v, prev_v);
-    t = pf::select(alive, ts + stepv, t);
+    t = pf::select(alive, t + stepv, t);
     alive = alive & (t <= tlim);
   }
 

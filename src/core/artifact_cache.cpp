@@ -1,25 +1,28 @@
 #include "core/artifact_cache.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 
 namespace eth {
+
+Bytes parse_cache_bytes(const char* value) {
+  constexpr Bytes kDefault = Bytes(512) << 20; // 512 MiB
+  if (value == nullptr) return kDefault;
+  const char* end = value + std::strlen(value);
+  Bytes parsed = 0;
+  // from_chars takes no sign, prefix or whitespace: digits only.
+  const auto [stop, error] = std::from_chars(value, end, parsed);
+  return error == std::errc() && stop == end ? parsed : kDefault;
+}
 
 ArtifactCache& global_artifact_cache() {
   // Leaked singleton: worker threads (read-ahead prefetch tasks) may
   // touch the cache during static destruction if it were destroyed.
   static ArtifactCache* cache = [] {
-    Bytes budget = Bytes(512) << 20; // 512 MiB default
-    bool on = true;
-    if (const char* env = std::getenv("ETH_CACHE_BYTES")) {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(env, &end, 10);
-      if (end != env) {
-        budget = Bytes(parsed);
-        on = parsed != 0;
-      }
-    }
+    const Bytes budget = parse_cache_bytes(std::getenv("ETH_CACHE_BYTES"));
     auto* c = new ArtifactCache(budget);
-    c->set_enabled(on);
+    c->set_enabled(budget != 0);
     return c;
   }();
   return *cache;

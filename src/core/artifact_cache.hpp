@@ -353,8 +353,14 @@ inline CacheLookup memoize(ArtifactCache* cache, const ArtifactKey& key,
   return cache->get_or_compute(key, factory);
 }
 
+/// The byte budget an ETH_CACHE_BYTES value asks for: a plain run of
+/// decimal digits that fits in 64 bits. Anything else (no value, a unit
+/// suffix such as `512M`, a sign, hex) keeps the 512 MiB default, as
+/// ETH_THREADS ignores a malformed value.
+Bytes parse_cache_bytes(const char* value);
+
 /// The process-wide cache the harness and sweeps share. Budget comes
-/// from ETH_CACHE_BYTES (default 512 MiB); ETH_CACHE_BYTES=0 disables
+/// from ETH_CACHE_BYTES (parse_cache_bytes); ETH_CACHE_BYTES=0 disables
 /// memoization: every lookup computes through, so each producer runs
 /// every time and is charged as it is with the cache on.
 ArtifactCache& global_artifact_cache();

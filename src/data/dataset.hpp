@@ -9,7 +9,6 @@
 //   PointSet       - particle data (HACC cosmology)
 //   StructuredGrid - regular scalar volumes (xRAGE asteroid)
 //   TriangleMesh   - extracted geometry (isosurfaces, slices, splats)
-//   TetMesh        - unstructured tetrahedral volumes (domain extension)
 
 #include <memory>
 #include <string>
@@ -23,7 +22,6 @@ enum class DataSetKind : int {
   kPointSet = 1,
   kStructuredGrid = 2,
   kTriangleMesh = 3,
-  kTetMesh = 4, ///< unstructured tetrahedral grid (the §VII extension)
 };
 
 const char* to_string(DataSetKind kind);

@@ -137,21 +137,6 @@ double image_rmse(const ImageBuffer& a, const ImageBuffer& b) {
   return std::sqrt(acc / (3.0 * double(a.num_pixels())));
 }
 
-double image_mae(const ImageBuffer& a, const ImageBuffer& b) {
-  check_same_size(a, b, "image_mae");
-  if (a.num_pixels() == 0) return 0.0;
-  double acc = 0.0;
-  for (Index y = 0; y < a.height(); ++y)
-    for (Index x = 0; x < a.width(); ++x) {
-      const Vec4f ca = a.color(x, y);
-      const Vec4f cb = b.color(x, y);
-      for (int ch = 0; ch < 3; ++ch)
-        acc += std::abs(double(clamp(ca[ch], Real(0), Real(1))) -
-                        double(clamp(cb[ch], Real(0), Real(1))));
-    }
-  return acc / (3.0 * double(a.num_pixels()));
-}
-
 double image_ssim(const ImageBuffer& a, const ImageBuffer& b) {
   check_same_size(a, b, "image_ssim");
   if (a.num_pixels() == 0) return 1.0;
@@ -198,24 +183,6 @@ double image_ssim(const ImageBuffer& a, const ImageBuffer& b) {
     }
   }
   return ssim_sum / double(windows);
-}
-
-double image_diff_fraction(const ImageBuffer& a, const ImageBuffer& b, Real tolerance) {
-  check_same_size(a, b, "image_diff_fraction");
-  if (a.num_pixels() == 0) return 0.0;
-  Index differing = 0;
-  for (Index y = 0; y < a.height(); ++y)
-    for (Index x = 0; x < a.width(); ++x) {
-      const Vec4f ca = a.color(x, y);
-      const Vec4f cb = b.color(x, y);
-      for (int ch = 0; ch < 3; ++ch) {
-        if (std::abs(ca[ch] - cb[ch]) > tolerance) {
-          ++differing;
-          break;
-        }
-      }
-    }
-  return double(differing) / double(a.num_pixels());
 }
 
 } // namespace eth

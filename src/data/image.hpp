@@ -90,13 +90,6 @@ std::uint8_t ppm_channel_byte_pow(Real c);
 /// clamped to [0,1] first so RMSE is in [0, 1].
 double image_rmse(const ImageBuffer& a, const ImageBuffer& b);
 
-/// Mean absolute error over RGB channels (secondary metric).
-double image_mae(const ImageBuffer& a, const ImageBuffer& b);
-
-/// Fraction of pixels whose RGB differs by more than `tolerance` in any
-/// channel.
-double image_diff_fraction(const ImageBuffer& a, const ImageBuffer& b, Real tolerance);
-
 /// Structural similarity (SSIM) over the luma channel, mean of 8x8
 /// windows with the standard stabilizing constants (K1=0.01, K2=0.03,
 /// L=1). Returns 1 for identical images, lower for structural

@@ -5,8 +5,6 @@
 #include <limits>
 #include <optional>
 
-#include "common/fingerprint.hpp"
-#include "data/tet_mesh.hpp"
 
 namespace eth {
 
@@ -15,7 +13,6 @@ const char* to_string(DataSetKind kind) {
     case DataSetKind::kPointSet: return "PointSet";
     case DataSetKind::kStructuredGrid: return "StructuredGrid";
     case DataSetKind::kTriangleMesh: return "TriangleMesh";
-    case DataSetKind::kTetMesh: return "TetMesh";
   }
   return "Unknown";
 }
@@ -264,28 +261,6 @@ std::unique_ptr<StructuredGrid> deserialize_grid(WireReader& r) {
   return std::make_unique<StructuredGrid>(dims, origin, spacing);
 }
 
-void wire_tet_mesh(WireBuilder& b, const TetMesh& m, const Keepalive& keep) {
-  ByteWriter& w = b.header();
-  w.put_i64(m.num_points());
-  w.put_i64(m.num_tets());
-  b.add_bulk(m.vertices().data(), m.vertices().size() * sizeof(Vec3f), keep);
-  b.add_bulk(m.tets().data(), m.tets().size() * sizeof(Index), keep);
-}
-
-std::unique_ptr<TetMesh> deserialize_tet_mesh(WireReader& r) {
-  const Index nv = r.get_i64();
-  const Index nt = r.get_i64();
-  require(nv >= 0 && nt >= 0, "deserialize: negative tet mesh counts");
-  auto m = std::make_unique<TetMesh>();
-  ArrayChunk<Vec3f> vertices = r.get_array<Vec3f>(static_cast<std::size_t>(nv));
-  ArrayChunk<Index> tets = r.get_array<Index>(array_length<Index>(r, nt, 4));
-  for (const Index v : tets.view)
-    require(v >= 0 && v < nv, "deserialize: tet vertex index out of range");
-  m->adopt_vertices(std::move(vertices));
-  m->adopt_tets(std::move(tets));
-  return m;
-}
-
 void wire_mesh(WireBuilder& b, const TriangleMesh& m, const Keepalive& keep) {
   ByteWriter& w = b.header();
   w.put_i64(m.num_points());
@@ -329,9 +304,6 @@ WireMessage wire_message_impl(const DataSet& ds, const Keepalive& keep) {
     case DataSetKind::kTriangleMesh:
       wire_mesh(b, static_cast<const TriangleMesh&>(ds), keep);
       break;
-    case DataSetKind::kTetMesh:
-      wire_tet_mesh(b, static_cast<const TetMesh&>(ds), keep);
-      break;
   }
   wire_field_collection(b, ds.point_fields(), keep);
   wire_field_collection(b, ds.cell_fields(), keep);
@@ -344,7 +316,6 @@ std::optional<Index> cell_count(const DataSet& ds) {
     case DataSetKind::kPointSet: return std::nullopt;
     case DataSetKind::kStructuredGrid: return static_cast<const StructuredGrid&>(ds).num_cells();
     case DataSetKind::kTriangleMesh: return static_cast<const TriangleMesh&>(ds).num_triangles();
-    case DataSetKind::kTetMesh: return static_cast<const TetMesh&>(ds).num_tets();
   }
   return std::nullopt;
 }
@@ -357,7 +328,6 @@ std::unique_ptr<DataSet> deserialize_dataset_impl(WireReader& r) {
     case DataSetKind::kPointSet: ds = deserialize_point_set(r); break;
     case DataSetKind::kStructuredGrid: ds = deserialize_grid(r); break;
     case DataSetKind::kTriangleMesh: ds = deserialize_mesh(r); break;
-    case DataSetKind::kTetMesh: ds = deserialize_tet_mesh(r); break;
     default: fail("deserialize_dataset: unknown dataset kind");
   }
   // Consumers index a field by the topology, so its length must match.
@@ -403,13 +373,6 @@ std::unique_ptr<DataSet> deserialize_dataset(std::span<const std::uint8_t> bytes
 std::unique_ptr<DataSet> deserialize_dataset(const WireMessage& msg) {
   WireReader r(msg);
   return deserialize_dataset_impl(r);
-}
-
-std::uint64_t dataset_fingerprint(const DataSet& ds) {
-  // Identity query, not data movement: keep the message assembly out of
-  // the data-plane tallies so fingerprinting never perturbs them.
-  DataPlaneCapture mute;
-  return fingerprint_message(wire_message_for_dataset(ds));
 }
 
 } // namespace eth

@@ -134,13 +134,6 @@ WireMessage wire_message_for_dataset(const DataSet& ds);
 /// can cross queues and back receiver-side arrays with zero copies.
 WireMessage wire_message_for_dataset(std::shared_ptr<const DataSet> ds);
 
-/// 64-bit content fingerprint of a dataset: one streaming hash pass
-/// over the zero-copy wire encoding (common/fingerprint.hpp), no
-/// copies. Segment boundaries are invisible, so this equals the
-/// fingerprint of the flat serialize_dataset() stream — two datasets
-/// fingerprint equal exactly when they serialize to the same bytes.
-std::uint64_t dataset_fingerprint(const DataSet& ds);
-
 /// Reconstruct the concrete dataset from serialize_dataset output: the
 /// WireMessage reader over one unowned span, so every bulk array is
 /// copied into fresh owned storage.

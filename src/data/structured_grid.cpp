@@ -92,30 +92,4 @@ Vec3f StructuredGrid::cell_corner_position(Index i, Index j, Index k, int corner
                         k + kCornerOffset[corner][2]);
 }
 
-StructuredGrid StructuredGrid::extract(Vec3i lo, Vec3i hi) const {
-  require(lo.x >= 0 && lo.y >= 0 && lo.z >= 0, "extract: negative lower corner");
-  require(hi.x <= dims_.x && hi.y <= dims_.y && hi.z <= dims_.z,
-          "extract: upper corner out of range");
-  require(hi.x > lo.x && hi.y > lo.y && hi.z > lo.z, "extract: empty range");
-
-  const Vec3i ndims{hi.x - lo.x, hi.y - lo.y, hi.z - lo.z};
-  const Vec3f norigin{origin_.x + spacing_.x * Real(lo.x),
-                      origin_.y + spacing_.y * Real(lo.y),
-                      origin_.z + spacing_.z * Real(lo.z)};
-  StructuredGrid out(ndims, norigin, spacing_);
-  for (std::size_t f = 0; f < point_fields().size(); ++f) {
-    const Field& src = point_fields().at(f);
-    Field& dst = out.point_fields().add(
-        Field(src.name(), out.num_points(), src.components(), src.association()));
-    for (Index k = 0; k < ndims.z; ++k)
-      for (Index j = 0; j < ndims.y; ++j)
-        for (Index i = 0; i < ndims.x; ++i) {
-          const Index s = point_index(lo.x + i, lo.y + j, lo.z + k);
-          const Index d = out.point_index(i, j, k);
-          for (int c = 0; c < src.components(); ++c) dst.set(d, c, src.get(s, c));
-        }
-  }
-  return out;
-}
-
 } // namespace eth

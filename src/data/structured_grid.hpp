@@ -75,10 +75,6 @@ public:
   /// World-space position of cell corner `c` (same order as above).
   Vec3f cell_corner_position(Index i, Index j, Index k, int corner) const;
 
-  /// Extract the subgrid covering points [lo, hi) on each axis, copying
-  /// all point fields. Used by the per-rank spatial partitioner.
-  StructuredGrid extract(Vec3i lo, Vec3i hi) const;
-
 private:
   Vec3i dims_{0, 0, 0};
   Vec3f origin_{0, 0, 0};

@@ -31,14 +31,6 @@ std::string read_line(std::FILE* f, const std::string& path) {
   return line;
 }
 
-DataSetKind kind_from_name(std::string_view name, const std::string& path) {
-  if (name == "PointSet") return DataSetKind::kPointSet;
-  if (name == "StructuredGrid") return DataSetKind::kStructuredGrid;
-  if (name == "TriangleMesh") return DataSetKind::kTriangleMesh;
-  if (name == "TetMesh") return DataSetKind::kTetMesh;
-  fail("'" + path + "': unknown dataset kind '" + std::string(name) + "'");
-}
-
 } // namespace
 
 void write_dataset(const DataSet& ds, const std::string& path) {
@@ -76,18 +68,6 @@ std::unique_ptr<DataSet> read_dataset(const std::string& path) {
   require(to_string(ds->kind()) == kind_line.substr(5),
           "'" + path + "': header kind disagrees with payload");
   return ds;
-}
-
-std::pair<DataSetKind, Bytes> probe_dataset(const std::string& path) {
-  FilePtr f = open_file(path, "rb");
-  require(read_line(f.get(), path) == kMagicLine,
-          "'" + path + "' is not an eth DataFile");
-  const std::string kind_line = read_line(f.get(), path);
-  require(starts_with(kind_line, "kind "), "'" + path + "': missing kind line");
-  const std::string bytes_line = read_line(f.get(), path);
-  require(starts_with(bytes_line, "bytes "), "'" + path + "': missing bytes line");
-  return {kind_from_name(trim(kind_line.substr(5)), path),
-          static_cast<Bytes>(parse_index(bytes_line.substr(6), path))};
 }
 
 } // namespace eth

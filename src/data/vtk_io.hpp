@@ -26,22 +26,4 @@ void write_dataset(const DataSet& ds, const std::string& path);
 /// Read any dataset written by write_dataset.
 std::unique_ptr<DataSet> read_dataset(const std::string& path);
 
-/// Read and require a specific concrete type, e.g.
-/// read_dataset_as<PointSet>(path). Throws when the file holds another
-/// kind.
-template <typename T>
-std::unique_ptr<T> read_dataset_as(const std::string& path) {
-  auto ds = read_dataset(path);
-  T* typed = dynamic_cast<T*>(ds.get());
-  require(typed != nullptr, "read_dataset_as: '" + path + "' holds a " +
-                                std::string(to_string(ds->kind())) +
-                                ", not the requested type");
-  ds.release();
-  return std::unique_ptr<T>(typed);
-}
-
-/// Peek at the header without loading the payload: returns (kind,
-/// payload size). Used by job setup to size transfers before reading.
-std::pair<DataSetKind, Bytes> probe_dataset(const std::string& path);
-
 } // namespace eth

@@ -103,12 +103,12 @@ VizRankOutput run_particle(const DataSet& data, const VizConfig& cfg,
   ArtifactCache* cache = cfg.artifact_cache;
   std::uint64_t working_fp = cfg.input_fingerprint;
   if (cfg.sampling_ratio < 1.0) {
-    SpatialSampler sampler(cfg.sampling_ratio, cfg.sampling_mode, cfg.sampling_seed);
-    sampler.set_cache(cache, working_fp);
-    sampler.set_input(working);
-    working = sampler.update();
-    working_fp = sampler.output_fingerprint();
-    out.counters.merge(sampler.counters()); // carries the "sample" phase
+    const CacheLookup sampled =
+        SpatialSampler(cfg.sampling_ratio, cfg.sampling_mode, cfg.sampling_seed)
+            .run(data, cache, working_fp);
+    working = sampled.as<DataSet>();
+    working_fp = sampled.content_fp;
+    out.counters.merge(sampled.recorded); // carries the "sample" phase
   }
   const auto& points = static_cast<const PointSet&>(*working);
   out.input_elements = data.num_points();
@@ -192,12 +192,12 @@ VizRankOutput run_volume(const DataSet& data, const VizConfig& cfg,
   ArtifactCache* cache = cfg.artifact_cache;
   std::uint64_t working_fp = cfg.input_fingerprint;
   if (cfg.sampling_ratio < 1.0) {
-    SpatialSampler sampler(cfg.sampling_ratio, cfg.sampling_mode, cfg.sampling_seed);
-    sampler.set_cache(cache, working_fp);
-    sampler.set_input(working);
-    working = sampler.update();
-    working_fp = sampler.output_fingerprint();
-    out.counters.merge(sampler.counters()); // carries the "sample" phase
+    const CacheLookup sampled =
+        SpatialSampler(cfg.sampling_ratio, cfg.sampling_mode, cfg.sampling_seed)
+            .run(data, cache, working_fp);
+    working = sampled.as<DataSet>();
+    working_fp = sampled.content_fp;
+    out.counters.merge(sampled.recorded); // carries the "sample" phase
   }
   const auto& grid = static_cast<const StructuredGrid&>(*working);
   const AABB box = grid.bounds();
@@ -227,41 +227,25 @@ VizRankOutput run_volume(const DataSet& data, const VizConfig& cfg,
     plane_origins.push_back(slice_origin(box, s, cfg.num_slices, cfg.timestep));
 
   // Per-timestep setup: the geometry pipeline extracts once and
-  // rasterizes the extract from every camera; the raycaster builds its
-  // min/max skip structure once and marches per image.
+  // rasterizes the extract from every camera; the raycasters march the
+  // grid itself per image and need no setup.
   std::shared_ptr<const DataSet> iso_mesh;
   std::vector<std::shared_ptr<const DataSet>> slice_meshes;
   if (cfg.algorithm == VizAlgorithm::kVtkGeometry) {
-    IsosurfaceExtractor iso_extract(cfg.volume_field, iso);
-    iso_extract.set_cache(cache, working_fp);
-    iso_extract.set_input(working);
-    iso_mesh = iso_extract.update();
-    out.counters.merge(iso_extract.counters()); // carries "extract"
+    const CacheLookup extracted =
+        IsosurfaceExtractor(cfg.volume_field, iso).run(grid, cache, working_fp);
+    iso_mesh = extracted.as<DataSet>();
+    out.counters.merge(extracted.recorded); // carries "extract"
     for (int s = 0; s < cfg.num_slices; ++s) {
-      SlicePlaneExtractor slicer(cfg.volume_field, plane_origins[static_cast<std::size_t>(s)],
-                                 slice_normal(s));
-      slicer.set_cache(cache, working_fp);
-      slicer.set_input(working);
-      slice_meshes.push_back(slicer.update());
-      out.counters.merge(slicer.counters());
+      const CacheLookup sliced =
+          SlicePlaneExtractor(cfg.volume_field, plane_origins[static_cast<std::size_t>(s)],
+                              slice_normal(s))
+              .run(grid, cache, working_fp);
+      slice_meshes.push_back(sliced.as<DataSet>());
+      out.counters.merge(sliced.recorded);
     }
-  } else if (cfg.algorithm == VizAlgorithm::kRaycastVolume) {
-    if (cfg.volume_acceleration) {
-      const std::string signature =
-          strprintf("minmax field=%s cells=4", cfg.volume_field.c_str());
-      const CacheLookup lookup =
-          memoize(cache, {working_fp, signature}, [&]() -> CacheArtifact {
-            cluster::PerfCounters fresh;
-            std::shared_ptr<const MinMaxGrid> minmax =
-                RaycastRenderer::build_volume_accel(grid, cfg.volume_field, fresh);
-            return CacheArtifact{minmax, static_cast<std::size_t>(minmax->byte_size()),
-                                 std::move(fresh),
-                                 fingerprint_chain(working_fp, signature)};
-          });
-      raycaster.adopt_volume(lookup.as<MinMaxGrid>());
-      out.counters.merge(lookup.recorded); // carries "build" (hit and miss)
-    }
-  } else if (cfg.algorithm != VizAlgorithm::kRaycastDvr) {
+  } else if (cfg.algorithm != VizAlgorithm::kRaycastVolume &&
+             cfg.algorithm != VizAlgorithm::kRaycastDvr) {
     fail("run_volume: not a volume algorithm");
   }
 

@@ -77,12 +77,6 @@ struct VizConfig {
   /// harness's timestep loop.
   Index timestep = 0;
 
-  /// Build a min/max macrocell structure for empty-space skipping in
-  /// the volume raycaster (off by default: on turbulent science fields
-  /// the value ranges rarely exclude the isovalue, so the paper-era
-  /// stacks did not benefit; the ablation bench quantifies it).
-  bool volume_acceleration = false;
-
   // ----------------------------------------------- particle pipelines
   std::string particle_scalar = "speed";
   Real particle_radius = 0.0f; ///< world radius, 0 = auto

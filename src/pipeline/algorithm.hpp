@@ -1,23 +1,24 @@
 #pragma once
-// The ETH pipeline: a demand-driven chain of operators in the style of
-// VTK's data-centric pipeline ("VTK implements a data-centric pipeline
-// of operators, filters and rendering operations that operate on data,
-// then pass it along to the next element" — paper §III).
+// The ETH pipeline's filters, in the style of VTK's data-centric
+// operators ("VTK implements a data-centric pipeline of operators,
+// filters and rendering operations that operate on data, then pass it
+// along to the next element" — paper §III).
 //
-// An Algorithm owns one optional upstream connection and produces one
-// DataSet. update() pulls the upstream output (recursively), re-executes
-// when dirty, and caches. modified() dirties this algorithm and, through
-// pull semantics, everything downstream of it on the next update().
+// An Algorithm is a stateless filter: its parameters are fixed at
+// construction, and run() maps one input dataset to one output. The
+// sweep-wide artifact cache (core/artifact_cache.hpp) is the memo. A
+// chain passes each run's output and output fingerprint on to the next
+// filter's run.
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
 #include "cluster/counters.hpp"
+#include "core/artifact_cache.hpp"
 #include "data/dataset.hpp"
 
 namespace eth {
-
-class ArtifactCache;
 
 class Algorithm {
 public:
@@ -26,53 +27,25 @@ public:
   Algorithm(const Algorithm&) = delete;
   Algorithm& operator=(const Algorithm&) = delete;
 
-  /// Connect a fixed dataset as the input (source-style use).
-  void set_input(std::shared_ptr<const DataSet> input);
-
-  /// Connect another algorithm's output as the input (filter-style use).
-  void set_input_connection(std::shared_ptr<Algorithm> upstream);
-
-  /// Pull: bring the output up to date and return it.
-  std::shared_ptr<const DataSet> update();
-
-  /// Mark dirty; the next update() re-executes this algorithm.
-  void modified() { dirty_ = true; }
-
-  /// Work accounting accumulated over every execute() since the last
-  /// reset_counters(); the harness reads these after a run.
-  const cluster::PerfCounters& counters() const { return counters_; }
-  void reset_counters() { counters_ = cluster::PerfCounters{}; }
-
-  /// Attach a memoization cache (core/artifact_cache.hpp) and declare
-  /// the content identity of this algorithm's input. Filters that
-  /// implement cache_signature() then resolve (input fingerprint,
-  /// signature) through the cache instead of re-executing; on a hit
-  /// the recorded first-execution counters are replayed into
-  /// counters(), so accounting is identical either way. A null or
-  /// disabled cache, a zero fingerprint, or an empty signature all
-  /// compute through memoize() (core/artifact_cache.hpp): execute()
-  /// runs every time and nothing is stored.
-  void set_cache(ArtifactCache* cache, std::uint64_t input_fingerprint) {
-    cache_ = cache;
-    input_fp_ = input_fingerprint;
-  }
-
-  /// Content identity of the current output (0 = unknown). Valid after
-  /// update(); chains automatically through connected pipelines — a
-  /// downstream filter inherits its upstream's output fingerprint (and
-  /// cache handle) on the next pull.
-  std::uint64_t output_fingerprint() const { return output_fp_; }
+  /// Run on `input`, whose content identity is `input_fp` (0 =
+  /// unknown), resolving (input_fp, cache_signature()) through `cache`
+  /// with memoize() (core/artifact_cache.hpp): concurrent callers of one
+  /// key execute once, and a null or disabled cache or an unknown input
+  /// executes every call and stores nothing. The lookup holds the
+  /// output (as<DataSet>()), its fingerprint (content_fp, 0 when the
+  /// input's is unknown) and the counters the execution measured, with
+  /// its phase_name() CPU time; a hit replays them, so accounting is
+  /// identical either way.
+  CacheLookup run(const DataSet& input, ArtifactCache* cache = nullptr,
+                  std::uint64_t input_fp = 0) const;
 
 protected:
   Algorithm() = default;
 
-  /// Produce the output from `input`. Sources receive nullptr.
-  /// Implementations record their work into `counters`.
-  virtual std::unique_ptr<DataSet> execute(const DataSet* input,
-                                           cluster::PerfCounters& counters) = 0;
-
-  /// True when this algorithm needs no input (a source).
-  virtual bool is_source() const { return false; }
+  /// Produce the output from `input`, recording the work into
+  /// `counters`.
+  virtual std::unique_ptr<DataSet> execute(const DataSet& input,
+                                           cluster::PerfCounters& counters) const = 0;
 
   /// Phase-timer bucket execute() time is charged to ("extract" for
   /// geometry extraction filters, "sample" for samplers, ...).
@@ -85,19 +58,8 @@ protected:
 
   /// Canonical operation-plus-parameters string for memoization keys.
   /// Must cover EVERY parameter that influences execute()'s output
-  /// (floats via %a so the string is bit-exact); empty (the default)
-  /// opts the filter out of caching.
-  virtual std::string cache_signature() const { return {}; }
-
-private:
-  std::shared_ptr<const DataSet> fixed_input_;
-  std::shared_ptr<Algorithm> upstream_;
-  std::shared_ptr<const DataSet> output_;
-  cluster::PerfCounters counters_;
-  ArtifactCache* cache_ = nullptr;
-  std::uint64_t input_fp_ = 0;
-  std::uint64_t output_fp_ = 0;
-  bool dirty_ = true;
+  /// (floats via %a so the string is bit-exact).
+  virtual std::string cache_signature() const = 0;
 };
 
 } // namespace eth

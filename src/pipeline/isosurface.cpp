@@ -6,7 +6,6 @@
 
 #include "common/timer.hpp"
 #include "data/structured_grid.hpp"
-#include "data/tet_mesh.hpp"
 #include "data/triangle_mesh.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -83,24 +82,11 @@ void contour_tet(const TetVertex v[4], Real iso, std::vector<Vec3f>& out) {
 IsosurfaceExtractor::IsosurfaceExtractor(std::string field_name, Real isovalue)
     : field_name_(std::move(field_name)), isovalue_(isovalue) {}
 
-void IsosurfaceExtractor::set_isovalue(Real v) {
-  isovalue_ = v;
-  modified();
-}
-
-void IsosurfaceExtractor::set_gradient_normals(bool on) {
-  gradient_normals_ = on;
-  modified();
-}
-
-std::unique_ptr<DataSet> IsosurfaceExtractor::execute(const DataSet* input,
-                                                      cluster::PerfCounters& counters) {
-  require(input != nullptr && (input->kind() == DataSetKind::kStructuredGrid ||
-                               input->kind() == DataSetKind::kTetMesh),
-          "IsosurfaceExtractor: input must be a StructuredGrid or TetMesh");
-  if (input->kind() == DataSetKind::kTetMesh)
-    return execute_tets(static_cast<const TetMesh&>(*input), counters);
-  const auto& grid = static_cast<const StructuredGrid&>(*input);
+std::unique_ptr<DataSet> IsosurfaceExtractor::execute(
+    const DataSet& input, cluster::PerfCounters& counters) const {
+  require(input.kind() == DataSetKind::kStructuredGrid,
+          "IsosurfaceExtractor: input must be a StructuredGrid");
+  const auto& grid = static_cast<const StructuredGrid&>(input);
   const Field& field = grid.point_fields().get(field_name_);
 
   const Vec3i cells = grid.cell_dims();
@@ -153,10 +139,7 @@ std::unique_ptr<DataSet> IsosurfaceExtractor::execute(const DataSet* input,
       Index idx[3];
       for (int corner = 0; corner < 3; ++corner) {
         const Vec3f p = soup[t + static_cast<std::size_t>(corner)];
-        const Vec3f normal = gradient_normals_
-                                 ? -normalize(grid.gradient(field, p))
-                                 : Vec3f{0, 0, 1};
-        idx[corner] = mesh->add_vertex(p, normal);
+        idx[corner] = mesh->add_vertex(p, -normalize(grid.gradient(field, p)));
       }
       mesh->add_triangle(idx[0], idx[1], idx[2]);
     }
@@ -169,51 +152,9 @@ std::unique_ptr<DataSet> IsosurfaceExtractor::execute(const DataSet* input,
   return mesh;
 }
 
-std::unique_ptr<DataSet> IsosurfaceExtractor::execute_tets(
-    const TetMesh& tets, cluster::PerfCounters& counters) {
-  const Field& field = tets.point_fields().get(field_name_);
-  require(field.tuples() == tets.num_points(),
-          "IsosurfaceExtractor: field/vertex count mismatch");
-
-  std::vector<Vec3f> soup;
-  const Index nt = tets.num_tets();
-  for (Index t = 0; t < nt; ++t) {
-    Index a, b, c, d;
-    tets.tet(t, a, b, c, d);
-    const Index idx[4] = {a, b, c, d};
-    TetVertex v[4];
-    for (int corner = 0; corner < 4; ++corner)
-      v[corner] =
-          TetVertex{tets.vertices()[static_cast<std::size_t>(idx[corner])],
-                    field.get(idx[corner])};
-    contour_tet(v, isovalue_, soup);
-  }
-
-  auto mesh = std::make_unique<TriangleMesh>();
-  mesh->reserve(static_cast<Index>(soup.size()), static_cast<Index>(soup.size()) / 3);
-  for (std::size_t t = 0; t + 3 <= soup.size(); t += 3) {
-    // Unstructured inputs carry no gradient; flat face normals shade
-    // the surface (two-sided lighting downstream).
-    const Vec3f n = normalize(cross(soup[t + 1] - soup[t], soup[t + 2] - soup[t]));
-    const Index i0 = mesh->add_vertex(soup[t], n);
-    const Index i1 = mesh->add_vertex(soup[t + 1], n);
-    const Index i2 = mesh->add_vertex(soup[t + 2], n);
-    mesh->add_triangle(i0, i1, i2);
-  }
-
-  counters.elements_processed += nt;
-  counters.bytes_read += tets.byte_size();
-  counters.primitives_emitted += mesh->num_triangles();
-  counters.bytes_written += mesh->byte_size();
-  counters.flop_estimate += double(nt) * 20.0 + double(mesh->num_triangles()) * 60.0;
-  counters.max_parallel_items = std::max(counters.max_parallel_items, nt);
-  return mesh;
-}
-
 std::string IsosurfaceExtractor::cache_signature() const {
-  return strprintf("isosurface field=%s iso=%a grad=%d", field_name_.c_str(),
-                   static_cast<double>(isovalue_),
-                   static_cast<int>(gradient_normals_));
+  return strprintf("isosurface field=%s iso=%a", field_name_.c_str(),
+                   static_cast<double>(isovalue_));
 }
 
 } // namespace eth

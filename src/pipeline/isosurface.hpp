@@ -21,33 +21,19 @@ namespace eth {
 
 class IsosurfaceExtractor final : public Algorithm {
 public:
-  /// Contour `field_name` of a StructuredGrid or TetMesh at `isovalue`
-  /// (the §VII unstructured-grid extension contours tetrahedra
-  /// directly).
+  /// Contour `field_name` of a StructuredGrid at `isovalue`; per-vertex
+  /// normals come from the field gradient for smooth shading.
   IsosurfaceExtractor(std::string field_name, Real isovalue);
 
-  Real isovalue() const { return isovalue_; }
-  void set_isovalue(Real v);
-
-  const std::string& field_name() const { return field_name_; }
-
-  /// When true (default), per-vertex normals are taken from the field
-  /// gradient for smooth shading.
-  void set_gradient_normals(bool on);
-
 protected:
-  std::unique_ptr<DataSet> execute(const DataSet* input,
-                                   cluster::PerfCounters& counters) override;
+  std::unique_ptr<DataSet> execute(const DataSet& input,
+                                   cluster::PerfCounters& counters) const override;
   std::string cache_signature() const override;
   const char* trace_name() const override { return "filter.isosurface"; }
 
 private:
-  std::unique_ptr<DataSet> execute_tets(const class TetMesh& tets,
-                                        cluster::PerfCounters& counters);
-
   std::string field_name_;
   Real isovalue_;
-  bool gradient_normals_ = true;
 };
 
 } // namespace eth

@@ -29,33 +29,16 @@ SpatialSampler::SpatialSampler(double ratio, SamplingMode mode, std::uint64_t se
   require(ratio > 0.0 && ratio <= 1.0, "SpatialSampler: ratio must be in (0, 1]");
 }
 
-void SpatialSampler::set_ratio(double ratio) {
-  require(ratio > 0.0 && ratio <= 1.0, "SpatialSampler: ratio must be in (0, 1]");
-  ratio_ = ratio;
-  modified();
-}
-
-void SpatialSampler::set_mode(SamplingMode mode) {
-  mode_ = mode;
-  modified();
-}
-
-void SpatialSampler::set_seed(std::uint64_t seed) {
-  seed_ = seed;
-  modified();
-}
-
-std::unique_ptr<DataSet> SpatialSampler::execute(const DataSet* input,
-                                                 cluster::PerfCounters& counters) {
-  require(input != nullptr, "SpatialSampler: no input");
-  switch (input->kind()) {
+std::unique_ptr<DataSet> SpatialSampler::execute(const DataSet& input,
+                                                 cluster::PerfCounters& counters) const {
+  switch (input.kind()) {
     case DataSetKind::kPointSet:
-      return sample_points(static_cast<const PointSet&>(*input), counters);
+      return sample_points(static_cast<const PointSet&>(input), counters);
     case DataSetKind::kStructuredGrid:
-      return sample_grid(static_cast<const StructuredGrid&>(*input), counters);
+      return sample_grid(static_cast<const StructuredGrid&>(input), counters);
     default:
       fail("SpatialSampler: unsupported dataset kind " +
-           std::string(to_string(input->kind())));
+           std::string(to_string(input.kind())));
   }
 }
 

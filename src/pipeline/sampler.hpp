@@ -27,16 +27,9 @@ public:
   explicit SpatialSampler(double ratio, SamplingMode mode = SamplingMode::kBernoulli,
                           std::uint64_t seed = 42);
 
-  double ratio() const { return ratio_; }
-  SamplingMode mode() const { return mode_; }
-
-  void set_ratio(double ratio);
-  void set_mode(SamplingMode mode);
-  void set_seed(std::uint64_t seed);
-
 protected:
-  std::unique_ptr<DataSet> execute(const DataSet* input,
-                                   cluster::PerfCounters& counters) override;
+  std::unique_ptr<DataSet> execute(const DataSet& input,
+                                   cluster::PerfCounters& counters) const override;
   const char* phase_name() const override { return "sample"; }
   std::string cache_signature() const override;
   const char* trace_name() const override { return "filter.sample"; }

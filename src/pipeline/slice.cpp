@@ -17,18 +17,11 @@ SlicePlaneExtractor::SlicePlaneExtractor(std::string field_name, Vec3f origin,
   require(length(normal) > Real(0), "SlicePlaneExtractor: zero normal");
 }
 
-void SlicePlaneExtractor::set_plane(Vec3f origin, Vec3f normal) {
-  require(length(normal) > Real(0), "SlicePlaneExtractor: zero normal");
-  origin_ = origin;
-  normal_ = normalize(normal);
-  modified();
-}
-
-std::unique_ptr<DataSet> SlicePlaneExtractor::execute(const DataSet* input,
-                                                      cluster::PerfCounters& counters) {
-  require(input != nullptr && input->kind() == DataSetKind::kStructuredGrid,
+std::unique_ptr<DataSet> SlicePlaneExtractor::execute(
+    const DataSet& input, cluster::PerfCounters& counters) const {
+  require(input.kind() == DataSetKind::kStructuredGrid,
           "SlicePlaneExtractor: input must be a StructuredGrid");
-  const auto& grid = static_cast<const StructuredGrid&>(*input);
+  const auto& grid = static_cast<const StructuredGrid&>(input);
   const Field& field = grid.point_fields().get(field_name_);
   const AABB box = grid.bounds();
 

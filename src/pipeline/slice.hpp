@@ -19,13 +19,9 @@ public:
   /// per-vertex point field named "scalar" on the output mesh.
   SlicePlaneExtractor(std::string field_name, Vec3f origin, Vec3f normal);
 
-  void set_plane(Vec3f origin, Vec3f normal);
-  Vec3f origin() const { return origin_; }
-  Vec3f normal() const { return normal_; }
-
 protected:
-  std::unique_ptr<DataSet> execute(const DataSet* input,
-                                   cluster::PerfCounters& counters) override;
+  std::unique_ptr<DataSet> execute(const DataSet& input,
+                                   cluster::PerfCounters& counters) const override;
   std::string cache_signature() const override;
   const char* trace_name() const override { return "filter.slice"; }
 

@@ -88,84 +88,6 @@ PixelRect screen_rect(const CameraFrame& frame, const AABB& box, Index width,
 
 } // namespace
 
-MinMaxGrid::MinMaxGrid(const StructuredGrid& grid, const Field& field,
-                       Index cells_per_macrocell) {
-  require(cells_per_macrocell >= 1, "MinMaxGrid: macrocell size must be >= 1");
-  const Vec3i cells = grid.cell_dims();
-  if (cells.x == 0 || cells.y == 0 || cells.z == 0) return;
-
-  dims_ = {(cells.x + cells_per_macrocell - 1) / cells_per_macrocell,
-           (cells.y + cells_per_macrocell - 1) / cells_per_macrocell,
-           (cells.z + cells_per_macrocell - 1) / cells_per_macrocell};
-  origin_ = grid.origin();
-  const Vec3f macro_world{grid.spacing().x * Real(cells_per_macrocell),
-                          grid.spacing().y * Real(cells_per_macrocell),
-                          grid.spacing().z * Real(cells_per_macrocell)};
-  inv_cell_ = Vec3f{1, 1, 1} / macro_world;
-  extent_ = std::min({macro_world.x, macro_world.y, macro_world.z});
-
-  ranges_.assign(static_cast<std::size_t>(dims_.x * dims_.y * dims_.z),
-                 {std::numeric_limits<Real>::max(), std::numeric_limits<Real>::lowest()});
-  // A macrocell's range covers every grid POINT of the cells it spans
-  // (the +1 closures make trilinear values within the span bounded by
-  // the recorded range).
-  const Vec3i pts = grid.dims();
-  for (Index k = 0; k < pts.z; ++k)
-    for (Index j = 0; j < pts.y; ++j)
-      for (Index i = 0; i < pts.x; ++i) {
-        const Real v = field.get(grid.point_index(i, j, k));
-        // Every macrocell whose cell span touches this point: point p
-        // borders cells p-1 and p.
-        const Index mi_lo = std::max<Index>(0, (i - 1) / cells_per_macrocell);
-        const Index mi_hi = std::min<Index>(dims_.x - 1, i / cells_per_macrocell);
-        const Index mj_lo = std::max<Index>(0, (j - 1) / cells_per_macrocell);
-        const Index mj_hi = std::min<Index>(dims_.y - 1, j / cells_per_macrocell);
-        const Index mk_lo = std::max<Index>(0, (k - 1) / cells_per_macrocell);
-        const Index mk_hi = std::min<Index>(dims_.z - 1, k / cells_per_macrocell);
-        for (Index mk = mk_lo; mk <= mk_hi; ++mk)
-          for (Index mj = mj_lo; mj <= mj_hi; ++mj)
-            for (Index mi = mi_lo; mi <= mi_hi; ++mi) {
-              auto& range = ranges_[static_cast<std::size_t>(
-                  mi + dims_.x * (mj + dims_.y * mk))];
-              range.first = std::min(range.first, v);
-              range.second = std::max(range.second, v);
-            }
-      }
-}
-
-bool MinMaxGrid::may_contain(Vec3f p, Real isovalue) const {
-  if (ranges_.empty()) return true;
-  const Vec3f rel = (p - origin_) * inv_cell_;
-  const auto mi = static_cast<Index>(rel.x);
-  const auto mj = static_cast<Index>(rel.y);
-  const auto mk = static_cast<Index>(rel.z);
-  if (rel.x < 0 || rel.y < 0 || rel.z < 0 || mi >= dims_.x || mj >= dims_.y ||
-      mk >= dims_.z)
-    return false;
-  const auto& range =
-      ranges_[static_cast<std::size_t>(mi + dims_.x * (mj + dims_.y * mk))];
-  return isovalue >= range.first && isovalue <= range.second;
-}
-
-std::shared_ptr<const MinMaxGrid> RaycastRenderer::build_volume_accel(
-    const StructuredGrid& grid, const std::string& field_name,
-    cluster::PerfCounters& counters) {
-  const trace::Span span("render.build");
-  const Field& field = grid.point_fields().get(field_name);
-  ThreadCpuTimer timer;
-  auto minmax = std::make_shared<MinMaxGrid>(grid, field);
-  counters.phases.add("build", timer.elapsed());
-  counters.elements_processed += grid.num_points();
-  counters.flop_estimate += double(grid.num_points()) * 4.0;
-  return minmax;
-}
-
-void RaycastRenderer::build_volume(const StructuredGrid& grid,
-                                   const std::string& field_name,
-                                   cluster::PerfCounters& counters) {
-  adopt_volume(build_volume_accel(grid, field_name, counters));
-}
-
 std::shared_ptr<const SphereAccel> RaycastRenderer::build_sphere_accel(
     const PointSet& points, const SphereRaycastOptions& options,
     cluster::PerfCounters& counters) {
@@ -290,26 +212,13 @@ bool clip_ray_to_box(const Ray& ray, const AABB& box, Real znear, Real zfar, Rea
 }
 
 /// March [t0, t_limit] for the first isovalue crossing; returns the
-/// refined hit parameter or -1. With a non-empty MinMaxGrid, spans
-/// whose macrocell cannot contain the isovalue are skipped (no crossing
-/// can occur in a span whose value range excludes the isovalue).
-Real march_iso(const StructuredGrid& grid, const Field& field, const MinMaxGrid& minmax,
-               const Ray& ray, Real t0, Real t_limit, Real step,
-               const IsoRaycastOptions& options, Index& steps_total) {
-  const bool use_skipping = !minmax.empty();
-  const Real skip = use_skipping ? minmax.macro_extent() * Real(0.5) : Real(0);
+/// refined hit parameter or -1.
+Real march_iso(const StructuredGrid& grid, const Field& field, const Ray& ray, Real t0,
+               Real t_limit, Real step, const IsoRaycastOptions& options,
+               Index& steps_total) {
   Real prev_t = t0 + Real(1e-6);
   Real prev_v = grid.sample(field, ray.origin + ray.direction * prev_t);
   for (Real t = prev_t + step; t <= t_limit;) {
-    if (use_skipping &&
-        !minmax.may_contain(ray.origin + ray.direction * t, options.isovalue)) {
-      t += std::max(skip, step);
-      ++steps_total;
-      prev_t = t;
-      prev_v = grid.sample(field, ray.origin + ray.direction * t);
-      t += step;
-      continue;
-    }
     ++steps_total;
     const Real v = grid.sample(field, ray.origin + ray.direction * t);
     if ((prev_v - options.isovalue) * (v - options.isovalue) <= 0 && prev_v != v) {
@@ -365,8 +274,6 @@ void RaycastRenderer::render_volume_scene(const StructuredGrid& grid,
   const Vec4f iso_base = iso_options.colormap != nullptr
                              ? iso_options.colormap->map(iso_options.isovalue)
                              : iso_options.uniform_color;
-  static const MinMaxGrid kEmptyMinMax;
-  const MinMaxGrid& minmax = minmax_ ? *minmax_ : kEmptyMinMax;
 
   // Unit slice normals, precomputed.
   std::vector<Vec3f> slice_normals;
@@ -379,14 +286,10 @@ void RaycastRenderer::render_volume_scene(const StructuredGrid& grid,
   // scalar per pixel so every lane's op sequence matches the scalar
   // loop exactly. Falls back to the scalar loop for multi-component
   // fields or grids whose flat indices overflow the 32-bit gather.
-  static_assert(std::is_same_v<Real, float> && sizeof(std::pair<Real, Real>) ==
-                                                   2 * sizeof(Real));
+  static_assert(std::is_same_v<Real, float>);
   const simd::KernelTable* table = simd::active_kernels();
-  const bool use_skipping = !minmax.empty();
-  const Real skip_step =
-      std::max(use_skipping ? minmax.macro_extent() * Real(0.5) : Real(0), step);
   simd::GridView view{};
-  bool vectorize =
+  const bool vectorize =
       table != nullptr && field.components() == 1 &&
       grid.num_points() <= Index(std::numeric_limits<std::int32_t>::max());
   if (vectorize) {
@@ -402,25 +305,6 @@ void RaycastRenderer::render_volume_scene(const StructuredGrid& grid,
     view.sp_x = spacing.x;
     view.sp_y = spacing.y;
     view.sp_z = spacing.z;
-    if (use_skipping) {
-      const Vec3i md = minmax.dims();
-      if (Index(2) * md.x * md.y * md.z <=
-          Index(std::numeric_limits<std::int32_t>::max())) {
-        view.mm_ranges = reinterpret_cast<const Real*>(minmax.ranges_data());
-        view.mm_dims_x = static_cast<std::int32_t>(md.x);
-        view.mm_dims_y = static_cast<std::int32_t>(md.y);
-        view.mm_dims_z = static_cast<std::int32_t>(md.z);
-        const Vec3f morg = minmax.origin(), minv = minmax.inv_cell();
-        view.mm_org_x = morg.x;
-        view.mm_org_y = morg.y;
-        view.mm_org_z = morg.z;
-        view.mm_inv_x = minv.x;
-        view.mm_inv_y = minv.y;
-        view.mm_inv_z = minv.z;
-      } else {
-        vectorize = false;
-      }
-    }
   }
 
   const CameraFrame frame = camera.frame(width, height);
@@ -452,8 +336,8 @@ void RaycastRenderer::render_volume_scene(const StructuredGrid& grid,
             }
           }
 
-          const Real hit_t = march_iso(grid, field, minmax, ray, t0, nearest, step,
-                                       iso_options, local.ray_steps);
+          const Real hit_t = march_iso(grid, field, ray, t0, nearest, step, iso_options,
+                                       local.ray_steps);
           if (hit_t > 0) {
             const Vec3f p = ray.origin + ray.direction * hit_t;
             const Vec3f normal = normalize(grid.gradient(field, p));
@@ -544,7 +428,7 @@ void RaycastRenderer::render_volume_scene(const StructuredGrid& grid,
           hits.b = hb;
           hits.va = hva;
           hits.hit = hitl;
-          table->march_iso(view, iso_options.isovalue, step, skip_step, rays, hits);
+          table->march_iso(view, iso_options.isovalue, step, rays, hits);
           local.ray_steps += hits.steps;
         }
         // Scalar epilogue: bisection refinement on the returned bracket

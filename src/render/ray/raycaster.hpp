@@ -74,44 +74,6 @@ struct DvrRaycastOptions {
   Real early_termination_alpha = 0.98f;
 };
 
-/// Min/max macrocell grid for empty-space skipping during isosurface
-/// ray marching (the standard OSPRay-style acceleration): each
-/// macrocell stores the value range of the data samples it covers, so
-/// rays skip regions that cannot contain the isovalue.
-class MinMaxGrid {
-public:
-  MinMaxGrid() = default;
-
-  /// Build over `field` of `grid`, `cells_per_macrocell` data cells per
-  /// macrocell per axis.
-  MinMaxGrid(const StructuredGrid& grid, const Field& field,
-             Index cells_per_macrocell = 4);
-
-  bool empty() const { return ranges_.empty(); }
-  Vec3i dims() const { return dims_; }
-  Real macro_extent() const { return extent_; }
-  Vec3f origin() const { return origin_; }
-  Vec3f inv_cell() const { return inv_cell_; }
-  /// Interleaved (min, max) storage, for the SIMD march kernel's view.
-  const std::pair<Real, Real>* ranges_data() const { return ranges_.data(); }
-
-  /// Could the macrocell containing world point `p` hold `isovalue`?
-  /// Points outside the grid return false.
-  bool may_contain(Vec3f p, Real isovalue) const;
-
-  /// Resident size (the memoization layer's byte budget).
-  Bytes byte_size() const {
-    return static_cast<Bytes>(ranges_.size() * sizeof(std::pair<Real, Real>));
-  }
-
-private:
-  Vec3i dims_{0, 0, 0};
-  Vec3f origin_;
-  Vec3f inv_cell_;
-  Real extent_ = 0; ///< smallest macrocell world extent (skip distance)
-  std::vector<std::pair<Real, Real>> ranges_;
-};
-
 /// The sphere path's immutable per-dataset setup product: the BVH plus
 /// the resolved world radius it was built with. Shareable (shared_ptr)
 /// so the artifact cache can own one copy reused across images,
@@ -143,30 +105,12 @@ public:
   void adopt_spheres(std::shared_ptr<const SphereAccel> accel) {
     spheres_ = std::move(accel);
   }
-  std::shared_ptr<const SphereAccel> shared_spheres() const { return spheres_; }
 
   bool has_sphere_structure() const { return spheres_ && !spheres_->bvh.empty(); }
   const SphereBVH& sphere_bvh() const {
     static const SphereBVH kEmpty;
     return spheres_ ? spheres_->bvh : kEmpty;
   }
-
-  /// Build the min/max macrocell structure for `field_name` of `grid`,
-  /// once per timestep; render_volume_iso then skips empty space.
-  void build_volume(const StructuredGrid& grid, const std::string& field_name,
-                    cluster::PerfCounters& counters);
-
-  /// Cache-friendly form of build_volume (see build_sphere_accel).
-  static std::shared_ptr<const MinMaxGrid> build_volume_accel(
-      const StructuredGrid& grid, const std::string& field_name,
-      cluster::PerfCounters& counters);
-
-  void adopt_volume(std::shared_ptr<const MinMaxGrid> minmax) {
-    minmax_ = std::move(minmax);
-  }
-  std::shared_ptr<const MinMaxGrid> shared_volume() const { return minmax_; }
-
-  bool has_volume_structure() const { return minmax_ && !minmax_->empty(); }
 
   /// Raycast the prepared spheres. Requires build_spheres() first.
   void render_spheres(const PointSet& points, const Camera& camera, ImageBuffer& image,
@@ -206,10 +150,9 @@ public:
                          cluster::PerfCounters& counters) const;
 
 private:
-  // Shared immutable setup products: built here or adopted from the
-  // artifact cache; rendering only reads them.
+  // Shared immutable setup product: built here or adopted from the
+  // artifact cache; rendering only reads it.
   std::shared_ptr<const SphereAccel> spheres_;
-  std::shared_ptr<const MinMaxGrid> minmax_;
 };
 
 } // namespace eth

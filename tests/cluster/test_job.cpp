@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "common/error.hpp"
 
 namespace eth::cluster {
@@ -29,14 +27,6 @@ TEST(JobLayout, AsyncIsTimeSharedLikeIntercore) {
 
   JobLayout viz_on_async{Coupling::kAsync, 8, 4, 2};
   EXPECT_THROW(viz_on_async.validate(), Error);
-}
-
-TEST(JobLayout, AsyncTextRoundTrip) {
-  JobLayout layout{Coupling::kAsync, 16, 4, 0};
-  const JobLayout restored = JobLayout::from_text(layout.to_text());
-  EXPECT_EQ(restored.coupling, Coupling::kAsync);
-  EXPECT_EQ(restored.nodes, 16);
-  EXPECT_EQ(restored.ranks, 4);
 }
 
 TEST(JobLayout, NodePartitioningPerCoupling) {
@@ -71,43 +61,6 @@ TEST(JobLayout, ValidationRules) {
 
   JobLayout viz_on_tight{Coupling::kTight, 4, 2, 2};
   EXPECT_THROW(viz_on_tight.validate(), Error);
-}
-
-TEST(JobLayout, TextRoundTrip) {
-  JobLayout layout{Coupling::kInternode, 400, 16, 100};
-  const JobLayout restored = JobLayout::from_text(layout.to_text());
-  EXPECT_EQ(restored.coupling, Coupling::kInternode);
-  EXPECT_EQ(restored.nodes, 400);
-  EXPECT_EQ(restored.ranks, 16);
-  EXPECT_EQ(restored.viz_node_count(), 100);
-}
-
-TEST(JobLayout, ParserAcceptsCommentsAndBlankLines) {
-  const JobLayout layout = JobLayout::from_text(
-      "# a comment\n\ncoupling tight\n  nodes 12  \nranks 3\n# trailing\n");
-  EXPECT_EQ(layout.coupling, Coupling::kTight);
-  EXPECT_EQ(layout.nodes, 12);
-  EXPECT_EQ(layout.ranks, 3);
-}
-
-TEST(JobLayout, ParserRejectsMalformedInput) {
-  EXPECT_THROW(JobLayout::from_text("coupling tight\nnodes 4\n"), Error); // no ranks
-  EXPECT_THROW(JobLayout::from_text("coupling tight\nnodes x\nranks 1\n"), Error);
-  EXPECT_THROW(JobLayout::from_text("coupling tight\nnodes 4\nranks 1\nwhat 3\n"),
-               Error);
-  EXPECT_THROW(JobLayout::from_text("justoneword\n"), Error);
-}
-
-TEST(JobLayout, FileSaveLoadRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "eth_layout_test.txt").string();
-  JobLayout layout{Coupling::kIntercore, 32, 8, 0};
-  layout.save(path);
-  const JobLayout restored = JobLayout::load(path);
-  EXPECT_EQ(restored.coupling, Coupling::kIntercore);
-  EXPECT_EQ(restored.nodes, 32);
-  std::filesystem::remove(path);
-  EXPECT_THROW(JobLayout::load(path), Error);
 }
 
 } // namespace

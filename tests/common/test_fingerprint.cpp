@@ -75,25 +75,6 @@ TEST(Fingerprint, LengthPrefixedStringsCannotAlias) {
   EXPECT_NE(a.digest(), b.digest());
 }
 
-TEST(Fingerprint, MessageDigestIsSegmentSplitInvariant) {
-  const auto data = random_bytes(200, 21);
-  const std::uint64_t flat = fingerprint_bytes(data);
-
-  WireMessage one;
-  one.append_borrowed(std::span<const std::uint8_t>(data));
-  EXPECT_EQ(fingerprint_message(one), flat);
-
-  WireMessage many;
-  std::size_t off = 0;
-  for (const std::size_t piece : {std::size_t(3), std::size_t(29), std::size_t(64),
-                                  std::size_t(1), std::size_t(103)}) {
-    many.append_borrowed(std::span<const std::uint8_t>(data).subspan(off, piece));
-    off += piece;
-  }
-  ASSERT_EQ(off, data.size());
-  EXPECT_EQ(fingerprint_message(many), flat);
-}
-
 TEST(Fingerprint, ChainDependsOnBothInputAndSignature) {
   const std::uint64_t a = fingerprint_chain(1, "op");
   EXPECT_EQ(fingerprint_chain(1, "op"), a); // deterministic

@@ -375,5 +375,18 @@ TEST(GlobalArtifactCache, DefaultsOnWithDocumentedBudget) {
   EXPECT_EQ(&cache, &global_artifact_cache()); // one process-wide object
 }
 
+TEST(GlobalArtifactCache, CacheBytesAcceptsDigitsOnly) {
+  const Bytes kDefault = Bytes(512) << 20;
+  EXPECT_EQ(parse_cache_bytes("0"), 0u); // memoization off
+  EXPECT_EQ(parse_cache_bytes("536870912"), Bytes(536870912));
+  // strtoull would read these as 512 bytes, 2^64 - 1 and 0 (cache off).
+  EXPECT_EQ(parse_cache_bytes("512M"), kDefault);
+  EXPECT_EQ(parse_cache_bytes("-1"), kDefault);
+  EXPECT_EQ(parse_cache_bytes("0x10"), kDefault);
+  for (const char* junk : {"", " 64", "+64", "64 ", "99999999999999999999"})
+    EXPECT_EQ(parse_cache_bytes(junk), kDefault) << "'" << junk << "'";
+  EXPECT_EQ(parse_cache_bytes(nullptr), kDefault);
+}
+
 } // namespace
 } // namespace eth

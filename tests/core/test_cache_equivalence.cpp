@@ -46,7 +46,6 @@ ExperimentSpec xrage_base(insitu::VizAlgorithm algorithm) {
   spec.application = Application::kXrage;
   spec.xrage.dims = {18, 14, 12};
   spec.viz.algorithm = algorithm;
-  spec.viz.volume_acceleration = true; // exercises the minmax artifact
   spec.viz.image_width = 24;
   spec.viz.image_height = 24;
   spec.viz.images_per_timestep = 1;

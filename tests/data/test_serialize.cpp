@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "data/vtk_io.hpp"
 #include "insitu/transport.hpp"
 
 namespace eth {
@@ -324,31 +327,32 @@ TEST(SerializeDataset, TruncatedPayloadThrows) {
   EXPECT_THROW(deserialize_dataset(bytes), Error);
 }
 
-TEST(DatasetFingerprint, NamesContentNotObject) {
-  // Two independently built datasets with identical bytes share one
-  // fingerprint; any content change breaks it.
-  const PointSet a = make_point_set();
-  const PointSet b = make_point_set();
-  EXPECT_EQ(dataset_fingerprint(a), dataset_fingerprint(b));
+TEST(SerializeDataset, UnknownKindsThrow) {
+  // The kind byte follows the 4-byte magic. 4 was the retired
+  // tetrahedral mesh kind.
+  const auto valid = serialize_dataset(make_point_set());
+  for (const std::uint8_t kind : {std::uint8_t(0), std::uint8_t(4), std::uint8_t(255)}) {
+    auto bytes = valid;
+    bytes[4] = kind;
+    EXPECT_THROW(deserialize_dataset(bytes), Error) << "span reader, kind " << int(kind);
+    WireMessage msg;
+    msg.append_owned(Buffer::copy_of(bytes));
+    EXPECT_THROW(deserialize_dataset(msg), Error) << "message reader, kind " << int(kind);
+  }
 
-  PointSet c = make_point_set();
-  c.set_position(0, {9.0f, 9.0f, 9.0f});
-  EXPECT_NE(dataset_fingerprint(c), dataset_fingerprint(a));
-}
-
-TEST(DatasetFingerprint, SurvivesSerializeRoundTrip) {
-  const PointSet ps = make_point_set();
-  const auto restored = deserialize_dataset(serialize_dataset(ps));
-  EXPECT_EQ(dataset_fingerprint(*restored), dataset_fingerprint(ps));
-}
-
-TEST(DatasetFingerprint, DoesNotPerturbDataPlaneCounters) {
-  const PointSet ps = make_point_set();
-  const DataPlaneCounters before = data_plane_counters();
-  (void)dataset_fingerprint(ps);
-  const DataPlaneCounters after = data_plane_counters();
-  EXPECT_EQ(after.bytes_copied, before.bytes_copied);
-  EXPECT_EQ(after.bytes_borrowed, before.bytes_borrowed);
+  // A dump file of the retired kind: its header and payload both name it.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "eth_serialize_tet_dump.eth").string();
+  auto payload = valid;
+  payload[4] = 4;
+  {
+    std::ofstream f(path, std::ios::binary);
+    f << "# eth DataFile v1\nkind TetMesh\nbytes " << payload.size() << "\n";
+    f.write(reinterpret_cast<const char*>(payload.data()),
+            static_cast<std::streamsize>(payload.size()));
+  }
+  EXPECT_THROW(read_dataset(path), Error);
+  std::filesystem::remove(path);
 }
 
 } // namespace

@@ -106,27 +106,6 @@ TEST(StructuredGrid, CellCornersMatchPointLookups) {
   EXPECT_EQ(g.cell_corner_position(1, 1, 0, 6), g.point_position(2, 2, 1));
 }
 
-TEST(StructuredGrid, ExtractSubgridPreservesGeometryAndValues) {
-  const StructuredGrid g = make_linear_grid();
-  const Field& f = g.point_fields().get("f");
-  const StructuredGrid sub = g.extract({1, 1, 0}, {4, 3, 2});
-  EXPECT_EQ(sub.dims(), (Vec3i{3, 2, 2}));
-  EXPECT_EQ(sub.origin(), (Vec3f{1, 1, 0}));
-  const Field& sf = sub.point_fields().get("f");
-  for (Index k = 0; k < 2; ++k)
-    for (Index j = 0; j < 2; ++j)
-      for (Index i = 0; i < 3; ++i)
-        EXPECT_EQ(sf.get(sub.point_index(i, j, k)),
-                  f.get(g.point_index(i + 1, j + 1, k)));
-}
-
-TEST(StructuredGrid, ExtractRejectsBadRanges) {
-  const StructuredGrid g = make_linear_grid();
-  EXPECT_THROW(g.extract({-1, 0, 0}, {2, 2, 2}), Error);
-  EXPECT_THROW(g.extract({0, 0, 0}, {6, 2, 2}), Error);
-  EXPECT_THROW(g.extract({2, 0, 0}, {2, 2, 2}), Error);
-}
-
 TEST(StructuredGrid, CloneIsDeep) {
   StructuredGrid g = make_linear_grid();
   const auto clone = g.clone();

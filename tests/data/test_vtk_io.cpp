@@ -46,23 +46,6 @@ TEST_F(VtkIoTest, PointSetFileRoundTrip) {
   EXPECT_EQ(r.point_fields().get("id").get(1), 42);
 }
 
-TEST_F(VtkIoTest, TypedReadEnforcesKind) {
-  StructuredGrid g({2, 2, 2}, {0, 0, 0}, {1, 1, 1});
-  g.add_scalar_field("t");
-  write_dataset(g, path("grid.eth"));
-  const auto grid = read_dataset_as<StructuredGrid>(path("grid.eth"));
-  EXPECT_EQ(grid->dims(), (Vec3i{2, 2, 2}));
-  EXPECT_THROW(read_dataset_as<PointSet>(path("grid.eth")), Error);
-}
-
-TEST_F(VtkIoTest, ProbeReportsKindAndSize) {
-  const PointSet ps(100);
-  write_dataset(ps, path("probe.eth"));
-  const auto [kind, bytes] = probe_dataset(path("probe.eth"));
-  EXPECT_EQ(kind, DataSetKind::kPointSet);
-  EXPECT_GT(bytes, 100u * sizeof(Vec3f) - 1);
-}
-
 TEST_F(VtkIoTest, HeaderIsHumanReadable) {
   const PointSet ps(1);
   write_dataset(ps, path("header.eth"));
@@ -78,7 +61,6 @@ TEST_F(VtkIoTest, HeaderIsHumanReadable) {
 
 TEST_F(VtkIoTest, MissingFileThrows) {
   EXPECT_THROW(read_dataset(path("missing.eth")), Error);
-  EXPECT_THROW(probe_dataset(path("missing.eth")), Error);
 }
 
 TEST_F(VtkIoTest, ForeignFileRejected) {

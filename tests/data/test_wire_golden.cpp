@@ -16,7 +16,6 @@
 
 #include "common/crc32.hpp"
 #include "data/serialize.hpp"
-#include "data/tet_mesh.hpp"
 #include "insitu/transport.hpp"
 
 namespace eth {
@@ -46,15 +45,6 @@ constexpr char kGoldenTriangleMesh[] =  // 213 bytes
     "0000000000000200000000000000010000000000000003000000000000000200"
     "00000000000001000000060000007363616c6172010000000004000000000000"
     "000000e0400000c0400000a0400000804000000000";
-
-constexpr char kGoldenTetMesh[] =  // 194 bytes
-    "4448544504050000000000000002000000000000000000000000000000000000"
-    "000000803f0000000000000000000000000000803f0000000000000000000000"
-    "000000803f0000803f0000803f0000803f000000000000000001000000000000"
-    "0002000000000000000300000000000000010000000000000002000000000000"
-    "0003000000000000000400000000000000010000000400000074656d70010000"
-    "00000500000000000000000000000000c03f00004040000090400000c0400000"
-    "0000";
 
 std::vector<std::uint8_t> from_hex(const char* hex) {
   const std::string s(hex);
@@ -106,21 +96,6 @@ TriangleMesh golden_mesh() {
   Field s("scalar", 4, 1, FieldAssociation::kPoint);
   for (Index i = 0; i < 4; ++i) s.set(i, Real(7 - i));
   m.point_fields().add(std::move(s));
-  return m;
-}
-
-TetMesh golden_tets() {
-  TetMesh m;
-  m.add_vertex({0, 0, 0});
-  m.add_vertex({1, 0, 0});
-  m.add_vertex({0, 1, 0});
-  m.add_vertex({0, 0, 1});
-  m.add_vertex({1, 1, 1});
-  m.add_tet(0, 1, 2, 3);
-  m.add_tet(1, 2, 3, 4);
-  Field temp("temp", 5, 1, FieldAssociation::kPoint);
-  for (Index i = 0; i < 5; ++i) temp.set(i, Real(i) * Real(1.5));
-  m.point_fields().add(std::move(temp));
   return m;
 }
 
@@ -183,13 +158,6 @@ constexpr char kGoldenTriangleMeshLzFrame[] =   // 145 bytes
     "000b004000003f000400313f3f3f0700000f00000b00063200620000006c0004"
     "100042540000020a000f06000270010002000100030600340673612300144509"
     "000f08000fb06372000000e0c0a0800000";
-constexpr char kGoldenTetMeshLzFrame[] =   // 137 bytes
-    "4554485aa0f120b77100000000000000c200000000000000324404000100413f"
-    "0000000400203f3f070002150005060010700a0080c04090c0480500020c000a"
-    "0400620100020003000600600400010474012000503f4040405409000f04000e"
-    "33650005240013450800418000000004002080800700031600040700c06d0000"
-    "000000000000000000";
-
 std::string to_hex(std::span<const std::uint8_t> bytes) {
   static const char digits[] = "0123456789abcdef";
   std::string out;
@@ -240,14 +208,10 @@ TEST(GoldenWireFormat, StructuredGridLzCodec) {
 TEST(GoldenWireFormat, TriangleMeshLzCodec) {
   expect_codec_golden(golden_mesh(), kGoldenTriangleMesh, kGoldenTriangleMeshLzFrame);
 }
-TEST(GoldenWireFormat, TetMeshLzCodec) {
-  expect_codec_golden(golden_tets(), kGoldenTetMesh, kGoldenTetMeshLzFrame);
-}
 
 TEST(GoldenWireFormat, PointSet) { expect_golden(golden_point_set(), kGoldenPointSet); }
 TEST(GoldenWireFormat, StructuredGrid) { expect_golden(golden_grid(), kGoldenGrid); }
 TEST(GoldenWireFormat, TriangleMesh) { expect_golden(golden_mesh(), kGoldenTriangleMesh); }
-TEST(GoldenWireFormat, TetMesh) { expect_golden(golden_tets(), kGoldenTetMesh); }
 
 TEST(GoldenWireFormat, KeepaliveMessageMatchesFixtureWithoutFlattening) {
   // The zero-copy path (borrowed bulk segments pinned by a shared_ptr

@@ -229,21 +229,6 @@ TEST(VizRank, WithinTimestepExtractionIsAmortized) {
   EXPECT_GT(one.counters.bytes_written, 0u);
 }
 
-TEST(VizRank, VolumeAccelerationPreservesTheImage) {
-  const auto data = xrage_data();
-  VizConfig cfg;
-  cfg.algorithm = VizAlgorithm::kRaycastVolume;
-  cfg.image_width = 48;
-  cfg.image_height = 48;
-  cfg.images_per_timestep = 1;
-  const auto plain = run_viz_rank(*data, cfg, camera_for(*data));
-  cfg.volume_acceleration = true;
-  const auto accel = run_viz_rank(*data, cfg, camera_for(*data));
-  EXPECT_LT(image_rmse(plain.images[0], accel.images[0]), 0.01);
-  EXPECT_GT(accel.counters.phases.get("build"), 0.0);
-  EXPECT_DOUBLE_EQ(plain.counters.phases.get("build"), 0.0);
-}
-
 class ScopedPool {
 public:
   explicit ScopedPool(unsigned threads) : pool_(threads) { set_global_pool(&pool_); }

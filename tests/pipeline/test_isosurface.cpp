@@ -31,8 +31,7 @@ TEST(Isosurface, VerticesLieOnTheLevelSet) {
   auto grid = sphere_grid();
   const Real iso = 6.0f;
   IsosurfaceExtractor extractor("d", iso);
-  extractor.set_input(std::shared_ptr<const DataSet>(grid));
-  const auto out = extractor.update();
+  const auto out = extractor.run(*grid).as<DataSet>();
   ASSERT_EQ(out->kind(), DataSetKind::kTriangleMesh);
   const auto& mesh = static_cast<const TriangleMesh&>(*out);
   ASSERT_GT(mesh.num_triangles(), 0);
@@ -49,8 +48,8 @@ TEST(Isosurface, SphereAreaApproximation) {
   auto grid = sphere_grid(32);
   const Real radius = 9.0f;
   IsosurfaceExtractor extractor("d", radius);
-  extractor.set_input(std::shared_ptr<const DataSet>(grid));
-  const auto& mesh = static_cast<const TriangleMesh&>(*extractor.update());
+  const auto out = extractor.run(*grid).as<TriangleMesh>();
+  const TriangleMesh& mesh = *out;
 
   double area = 0;
   for (Index t = 0; t < mesh.num_triangles(); ++t) {
@@ -72,8 +71,8 @@ TEST(Isosurface, WatertightAcrossCellBoundaries) {
   // quantized position.
   auto grid = sphere_grid(16);
   IsosurfaceExtractor extractor("d", 5.0f);
-  extractor.set_input(std::shared_ptr<const DataSet>(grid));
-  const auto& mesh = static_cast<const TriangleMesh&>(*extractor.update());
+  const auto out = extractor.run(*grid).as<TriangleMesh>();
+  const TriangleMesh& mesh = *out;
   ASSERT_GT(mesh.num_triangles(), 0);
 
   const auto key = [](Vec3f p) {
@@ -108,16 +107,16 @@ TEST(Isosurface, WatertightAcrossCellBoundaries) {
 TEST(Isosurface, EmptyWhenIsovalueOutsideRange) {
   auto grid = sphere_grid(12);
   IsosurfaceExtractor extractor("d", 1e6f);
-  extractor.set_input(std::shared_ptr<const DataSet>(grid));
-  const auto& mesh = static_cast<const TriangleMesh&>(*extractor.update());
+  const auto out = extractor.run(*grid).as<TriangleMesh>();
+  const TriangleMesh& mesh = *out;
   EXPECT_EQ(mesh.num_triangles(), 0);
 }
 
 TEST(Isosurface, GradientNormalsPointOutwardOnDistanceField) {
   auto grid = sphere_grid(20);
   IsosurfaceExtractor extractor("d", 6.0f);
-  extractor.set_input(std::shared_ptr<const DataSet>(grid));
-  const auto& mesh = static_cast<const TriangleMesh&>(*extractor.update());
+  const auto out = extractor.run(*grid).as<TriangleMesh>();
+  const TriangleMesh& mesh = *out;
   ASSERT_TRUE(mesh.has_normals());
   const Vec3f center{9.5f, 9.5f, 9.5f};
   for (Index i = 0; i < mesh.num_points(); i += 7) {
@@ -129,36 +128,34 @@ TEST(Isosurface, GradientNormalsPointOutwardOnDistanceField) {
 }
 
 TEST(Isosurface, IsovalueChangeReexecutes) {
+  // The isovalue is part of the cache key: a second isovalue on the same
+  // input executes again instead of reusing the first surface.
   auto grid = sphere_grid(12);
-  IsosurfaceExtractor extractor("d", 3.0f);
-  extractor.set_input(std::shared_ptr<const DataSet>(grid));
-  const Index small = static_cast<const TriangleMesh&>(*extractor.update()).num_triangles();
-  extractor.set_isovalue(5.0f);
-  const Index large = static_cast<const TriangleMesh&>(*extractor.update()).num_triangles();
+  ArtifactCache cache(1 << 24);
+  const std::uint64_t grid_fp = 0x5eed;
+  const CacheLookup small = IsosurfaceExtractor("d", 3.0f).run(*grid, &cache, grid_fp);
+  const CacheLookup large = IsosurfaceExtractor("d", 5.0f).run(*grid, &cache, grid_fp);
+  EXPECT_FALSE(large.hit);
+  EXPECT_NE(large.content_fp, small.content_fp);
   // Larger sphere -> more triangles.
-  EXPECT_GT(large, small);
+  EXPECT_GT(large.as<TriangleMesh>()->num_triangles(),
+            small.as<TriangleMesh>()->num_triangles());
 }
 
 TEST(Isosurface, CountersScaleWithCells) {
   auto grid = sphere_grid(12);
-  IsosurfaceExtractor extractor("d", 4.0f);
-  extractor.set_input(std::shared_ptr<const DataSet>(grid));
-  extractor.update();
-  EXPECT_EQ(extractor.counters().elements_processed, grid->num_cells());
-  EXPECT_GT(extractor.counters().primitives_emitted, 0);
+  const CacheLookup out = IsosurfaceExtractor("d", 4.0f).run(*grid);
+  EXPECT_EQ(out.recorded.elements_processed, grid->num_cells());
+  EXPECT_GT(out.recorded.primitives_emitted, 0);
 }
 
 TEST(Isosurface, RejectsWrongInputKind) {
-  IsosurfaceExtractor extractor("d", 1.0f);
-  extractor.set_input(std::make_shared<PointSet>(3));
-  EXPECT_THROW(extractor.update(), Error);
+  EXPECT_THROW(IsosurfaceExtractor("d", 1.0f).run(PointSet(3)), Error);
 }
 
 TEST(Isosurface, MissingFieldThrows) {
   auto grid = sphere_grid(8);
-  IsosurfaceExtractor extractor("nonexistent", 1.0f);
-  extractor.set_input(std::shared_ptr<const DataSet>(grid));
-  EXPECT_THROW(extractor.update(), Error);
+  EXPECT_THROW(IsosurfaceExtractor("nonexistent", 1.0f).run(*grid), Error);
 }
 
 } // namespace

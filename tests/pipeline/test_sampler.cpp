@@ -27,10 +27,8 @@ class SamplerRatioTest
 TEST_P(SamplerRatioTest, KeptFractionTracksRatio) {
   const auto [ratio, mode] = GetParam();
   const Index n = 20000;
-  SpatialSampler sampler(ratio, mode, 77);
-  sampler.set_input(random_points(n));
-  const auto out = sampler.update();
-  const auto& sampled = static_cast<const PointSet&>(*out);
+  const auto out = SpatialSampler(ratio, mode, 77).run(*random_points(n)).as<PointSet>();
+  const PointSet& sampled = *out;
   const double kept = double(sampled.num_points()) / double(n);
   EXPECT_NEAR(kept, ratio, 0.02);
 }
@@ -38,10 +36,8 @@ TEST_P(SamplerRatioTest, KeptFractionTracksRatio) {
 TEST_P(SamplerRatioTest, OutputIsSubsetWithFieldsIntact) {
   const auto [ratio, mode] = GetParam();
   const auto input = random_points(2000);
-  SpatialSampler sampler(ratio, mode, 5);
-  sampler.set_input(input);
-  const auto out = sampler.update();
-  const auto& sampled = static_cast<const PointSet&>(*out);
+  const auto out = SpatialSampler(ratio, mode, 5).run(*input).as<PointSet>();
+  const PointSet& sampled = *out;
   const Field& id = sampled.point_fields().get("id");
   for (Index i = 0; i < sampled.num_points(); ++i) {
     // The id field identifies the source particle; its position must
@@ -59,24 +55,28 @@ INSTANTIATE_TEST_SUITE_P(
                                          SamplingMode::kStratified)));
 
 TEST(SpatialSampler, DeterministicForSeed) {
-  SpatialSampler a(0.5, SamplingMode::kBernoulli, 42);
-  SpatialSampler b(0.5, SamplingMode::kBernoulli, 42);
-  a.set_input(random_points(1000));
-  b.set_input(random_points(1000));
-  const auto& pa = static_cast<const PointSet&>(*a.update());
-  const auto& pb = static_cast<const PointSet&>(*b.update());
+  const auto a = SpatialSampler(0.5, SamplingMode::kBernoulli, 42)
+                     .run(*random_points(1000))
+                     .as<PointSet>();
+  const auto b = SpatialSampler(0.5, SamplingMode::kBernoulli, 42)
+                     .run(*random_points(1000))
+                     .as<PointSet>();
+  const PointSet& pa = *a;
+  const PointSet& pb = *b;
   ASSERT_EQ(pa.num_points(), pb.num_points());
   for (Index i = 0; i < pa.num_points(); ++i)
     EXPECT_EQ(pa.position(i), pb.position(i));
 }
 
 TEST(SpatialSampler, SeedChangesSelection) {
-  SpatialSampler a(0.5, SamplingMode::kBernoulli, 1);
-  SpatialSampler b(0.5, SamplingMode::kBernoulli, 2);
-  a.set_input(random_points(1000));
-  b.set_input(random_points(1000));
-  const auto& pa = static_cast<const PointSet&>(*a.update());
-  const auto& pb = static_cast<const PointSet&>(*b.update());
+  const auto a = SpatialSampler(0.5, SamplingMode::kBernoulli, 1)
+                     .run(*random_points(1000))
+                     .as<PointSet>();
+  const auto b = SpatialSampler(0.5, SamplingMode::kBernoulli, 2)
+                     .run(*random_points(1000))
+                     .as<PointSet>();
+  const PointSet& pa = *a;
+  const PointSet& pb = *b;
   // Overwhelmingly unlikely to be identical.
   bool differs = pa.num_points() != pb.num_points();
   if (!differs)
@@ -86,9 +86,9 @@ TEST(SpatialSampler, SeedChangesSelection) {
 }
 
 TEST(SpatialSampler, StrideModeIsEvenlySpaced) {
-  SpatialSampler sampler(0.25, SamplingMode::kStride, 0);
-  sampler.set_input(random_points(1000));
-  const auto& out = static_cast<const PointSet&>(*sampler.update());
+  const auto sampled =
+      SpatialSampler(0.25, SamplingMode::kStride, 0).run(*random_points(1000)).as<PointSet>();
+  const PointSet& out = *sampled;
   EXPECT_EQ(out.num_points(), 250);
   // Every 4th point exactly.
   const Field& id = out.point_fields().get("id");
@@ -97,9 +97,8 @@ TEST(SpatialSampler, StrideModeIsEvenlySpaced) {
 }
 
 TEST(SpatialSampler, FullRatioKeepsEverything) {
-  SpatialSampler sampler(1.0, SamplingMode::kStride, 0);
-  sampler.set_input(random_points(123));
-  EXPECT_EQ(static_cast<const PointSet&>(*sampler.update()).num_points(), 123);
+  const SpatialSampler sampler(1.0, SamplingMode::kStride, 0);
+  EXPECT_EQ(sampler.run(*random_points(123)).as<PointSet>()->num_points(), 123);
 }
 
 TEST(SpatialSampler, GridDownsampleKeepsStructureAndSpacing) {
@@ -108,9 +107,8 @@ TEST(SpatialSampler, GridDownsampleKeepsStructureAndSpacing) {
   Field& f = grid->add_scalar_field("t");
   for (Index i = 0; i < grid->num_points(); ++i) f.set(i, Real(i));
 
-  SpatialSampler sampler(1.0 / 8.0, SamplingMode::kBernoulli, 0); // stride 2
-  sampler.set_input(std::shared_ptr<const DataSet>(grid));
-  const auto out = sampler.update();
+  const SpatialSampler sampler(1.0 / 8.0, SamplingMode::kBernoulli, 0); // stride 2
+  const auto out = sampler.run(*grid).as<DataSet>();
   ASSERT_EQ(out->kind(), DataSetKind::kStructuredGrid);
   const auto& g = static_cast<const StructuredGrid&>(*out);
   EXPECT_EQ(g.dims(), (Vec3i{8, 8, 8}));
@@ -126,9 +124,9 @@ TEST(SpatialSampler, GridKeepsMinimumDims) {
   auto grid = std::make_shared<StructuredGrid>(Vec3i{4, 4, 4}, Vec3f{0, 0, 0},
                                                Vec3f{1, 1, 1});
   grid->add_scalar_field("t");
-  SpatialSampler sampler(0.001, SamplingMode::kBernoulli, 0); // extreme stride
-  sampler.set_input(std::shared_ptr<const DataSet>(grid));
-  const auto& g = static_cast<const StructuredGrid&>(*sampler.update());
+  const SpatialSampler sampler(0.001, SamplingMode::kBernoulli, 0); // extreme stride
+  const auto out = sampler.run(*grid).as<StructuredGrid>();
+  const StructuredGrid& g = *out;
   EXPECT_GE(g.dims().x, 2);
   EXPECT_GE(g.dims().y, 2);
   EXPECT_GE(g.dims().z, 2);
@@ -137,17 +135,15 @@ TEST(SpatialSampler, GridKeepsMinimumDims) {
 TEST(SpatialSampler, RejectsBadRatios) {
   EXPECT_THROW(SpatialSampler(0.0), Error);
   EXPECT_THROW(SpatialSampler(1.5), Error);
-  SpatialSampler s(0.5);
-  EXPECT_THROW(s.set_ratio(-1), Error);
+  EXPECT_THROW(SpatialSampler(-1), Error);
 }
 
 TEST(SpatialSampler, CountersRecordWork) {
-  SpatialSampler sampler(0.5, SamplingMode::kBernoulli, 3);
-  sampler.set_input(random_points(500));
-  sampler.update();
-  EXPECT_EQ(sampler.counters().elements_processed, 500);
-  EXPECT_GT(sampler.counters().bytes_read, 0u);
-  EXPECT_GE(sampler.counters().phases.get("sample"), 0.0);
+  const CacheLookup out =
+      SpatialSampler(0.5, SamplingMode::kBernoulli, 3).run(*random_points(500));
+  EXPECT_EQ(out.recorded.elements_processed, 500);
+  EXPECT_GT(out.recorded.bytes_read, 0u);
+  EXPECT_GE(out.recorded.phases.get("sample"), 0.0);
 }
 
 } // namespace

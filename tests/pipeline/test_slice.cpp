@@ -28,8 +28,8 @@ TEST(SlicePlane, VerticesLieOnPlaneInsideBounds) {
   const Vec3f origin{7.5f, 7.5f, 7.5f};
   const Vec3f normal = normalize(Vec3f{1, 2, 0.5f});
   SlicePlaneExtractor slicer("f", origin, normal);
-  slicer.set_input(std::shared_ptr<const DataSet>(grid));
-  const auto& mesh = static_cast<const TriangleMesh&>(*slicer.update());
+  const auto out = slicer.run(*grid).as<TriangleMesh>();
+  const TriangleMesh& mesh = *out;
   ASSERT_GT(mesh.num_triangles(), 0);
   const AABB box = grid->bounds().inflated(0.6f);
   for (const Vec3f v : mesh.vertices()) {
@@ -41,8 +41,8 @@ TEST(SlicePlane, VerticesLieOnPlaneInsideBounds) {
 TEST(SlicePlane, ScalarFieldSampledOntoVertices) {
   auto grid = linear_grid();
   SlicePlaneExtractor slicer("f", {7.5f, 7.5f, 7.5f}, {0, 0, 1});
-  slicer.set_input(std::shared_ptr<const DataSet>(grid));
-  const auto& mesh = static_cast<const TriangleMesh&>(*slicer.update());
+  const auto out = slicer.run(*grid).as<TriangleMesh>();
+  const TriangleMesh& mesh = *out;
   const Field& scalars = mesh.point_fields().get("scalar");
   ASSERT_EQ(scalars.tuples(), mesh.num_points());
   for (Index i = 0; i < mesh.num_points(); ++i) {
@@ -55,8 +55,8 @@ TEST(SlicePlane, ScalarFieldSampledOntoVertices) {
 TEST(SlicePlane, AxisAlignedSliceCoversCrossSection) {
   auto grid = linear_grid();
   SlicePlaneExtractor slicer("f", {7.5f, 7.5f, 7.5f}, {0, 0, 1});
-  slicer.set_input(std::shared_ptr<const DataSet>(grid));
-  const auto& mesh = static_cast<const TriangleMesh&>(*slicer.update());
+  const auto out = slicer.run(*grid).as<TriangleMesh>();
+  const TriangleMesh& mesh = *out;
   // Total triangle area should approximate the 15x15 cross-section.
   double area = 0;
   for (Index t = 0; t < mesh.num_triangles(); ++t) {
@@ -74,8 +74,8 @@ TEST(SlicePlane, AxisAlignedSliceCoversCrossSection) {
 TEST(SlicePlane, MissedVolumeYieldsEmptyMesh) {
   auto grid = linear_grid();
   SlicePlaneExtractor slicer("f", {0, 0, 100}, {0, 0, 1});
-  slicer.set_input(std::shared_ptr<const DataSet>(grid));
-  const auto& mesh = static_cast<const TriangleMesh&>(*slicer.update());
+  const auto out = slicer.run(*grid).as<TriangleMesh>();
+  const TriangleMesh& mesh = *out;
   EXPECT_EQ(mesh.num_triangles(), 0);
   EXPECT_TRUE(mesh.point_fields().has("scalar"));
 }
@@ -85,32 +85,37 @@ TEST(SlicePlane, WorkScalesWithCrossSectionNotVolume) {
   // resolution should ~4x the slice vertices, not ~8x.
   auto small = linear_grid(12);
   auto large = linear_grid(24);
-  SlicePlaneExtractor s1("f", {5.5f, 5.5f, 5.5f}, {0, 0, 1});
-  s1.set_input(std::shared_ptr<const DataSet>(small));
-  const Index v_small = static_cast<const TriangleMesh&>(*s1.update()).num_points();
-  SlicePlaneExtractor s2("f", {11.5f, 11.5f, 11.5f}, {0, 0, 1});
-  s2.set_input(std::shared_ptr<const DataSet>(large));
-  const Index v_large = static_cast<const TriangleMesh&>(*s2.update()).num_points();
+  const Index v_small = SlicePlaneExtractor("f", {5.5f, 5.5f, 5.5f}, {0, 0, 1})
+                            .run(*small)
+                            .as<TriangleMesh>()
+                            ->num_points();
+  const Index v_large = SlicePlaneExtractor("f", {11.5f, 11.5f, 11.5f}, {0, 0, 1})
+                            .run(*large)
+                            .as<TriangleMesh>()
+                            ->num_points();
   const double growth = double(v_large) / double(v_small);
   EXPECT_GT(growth, 2.5);
   EXPECT_LT(growth, 6.0);
 }
 
-TEST(SlicePlane, SetPlaneReexecutes) {
+TEST(SlicePlane, PlaneChangeReexecutes) {
+  // The plane is part of the cache key: another plane through the same
+  // input executes again instead of reusing the first slice.
   auto grid = linear_grid();
-  SlicePlaneExtractor slicer("f", {7.5f, 7.5f, 7.5f}, {0, 0, 1});
-  slicer.set_input(std::shared_ptr<const DataSet>(grid));
-  slicer.update();
-  slicer.set_plane({7.5f, 7.5f, 7.5f}, {1, 0, 0});
-  const auto& mesh = static_cast<const TriangleMesh&>(*slicer.update());
-  for (const Vec3f v : mesh.vertices()) EXPECT_NEAR(v.x, 7.5f, 1e-3);
+  ArtifactCache cache(1 << 24);
+  const std::uint64_t grid_fp = 0x5eed;
+  SlicePlaneExtractor("f", {7.5f, 7.5f, 7.5f}, {0, 0, 1}).run(*grid, &cache, grid_fp);
+  const CacheLookup out =
+      SlicePlaneExtractor("f", {7.5f, 7.5f, 7.5f}, {1, 0, 0}).run(*grid, &cache, grid_fp);
+  EXPECT_FALSE(out.hit);
+  const auto mesh = out.as<TriangleMesh>();
+  ASSERT_GT(mesh->num_points(), 0);
+  for (const Vec3f v : mesh->vertices()) EXPECT_NEAR(v.x, 7.5f, 1e-3);
 }
 
 TEST(SlicePlane, RejectsBadInputs) {
   EXPECT_THROW(SlicePlaneExtractor("f", {0, 0, 0}, {0, 0, 0}), Error);
-  SlicePlaneExtractor slicer("f", {0, 0, 0}, {0, 0, 1});
-  slicer.set_input(std::make_shared<PointSet>(1));
-  EXPECT_THROW(slicer.update(), Error);
+  EXPECT_THROW(SlicePlaneExtractor("f", {0, 0, 0}, {0, 0, 1}).run(PointSet(1)), Error);
 }
 
 } // namespace

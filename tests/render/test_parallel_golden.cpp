@@ -145,7 +145,6 @@ TEST(ParallelGolden, VolumeSceneRaycastBitIdentical) {
   expect_render_deterministic([&] {
     RaycastRenderer renderer;
     cluster::PerfCounters counters;
-    renderer.build_volume(*grid, "v", counters);
     IsoRaycastOptions iso;
     iso.isovalue = 0.4f;
     SliceRaycastOptions slice;
@@ -181,16 +180,13 @@ TEST(ParallelGolden, MeshRasterizationBitIdentical) {
   // triangles whose depth-test order the tiled rasterizer must replay
   // exactly.
   const auto grid = wavy_grid(20);
-  IsosurfaceExtractor extract("v", 0.4f);
-  extract.set_input(std::shared_ptr<const DataSet>(grid));
-  const auto mesh = extract.update();
+  const auto mesh = IsosurfaceExtractor("v", 0.4f).run(*grid).as<TriangleMesh>();
   expect_render_deterministic([&] {
     RasterRenderer renderer;
     cluster::PerfCounters counters;
     ImageBuffer image(90, 70);
     image.clear();
-    renderer.render_mesh(static_cast<const TriangleMesh&>(*mesh), front_camera(),
-                         image, {}, counters);
+    renderer.render_mesh(*mesh, front_camera(), image, {}, counters);
     return std::make_pair(std::move(image), counters);
   });
 }
@@ -232,10 +228,9 @@ TEST(ParallelGolden, SliceBitIdentical) {
   for (const unsigned threads : kThreadCounts) {
     ScopedPool scoped(threads);
 
-    SlicePlaneExtractor slicer("v", {0, 0, 0}, {0, 0, 1});
-    slicer.set_input(std::shared_ptr<const DataSet>(grid));
-    const auto& mesh = static_cast<const TriangleMesh&>(*slicer.update());
-    const auto scalars = mesh.point_fields().get("scalar").values();
+    const auto mesh =
+        SlicePlaneExtractor("v", {0, 0, 0}, {0, 0, 1}).run(*grid).as<TriangleMesh>();
+    const auto scalars = mesh->point_fields().get("scalar").values();
 
     if (!golden_scalars) {
       golden_scalars =

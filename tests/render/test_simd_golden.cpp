@@ -329,21 +329,13 @@ struct MarchRef {
 
 /// Scalar replica of the raycaster march loop up to (not including)
 /// bisection — the exact contract of KernelTable::march_iso.
-MarchRef march_reference(const StructuredGrid& grid, const Field& field,
-                         const MinMaxGrid* minmax, Vec3f o, Vec3f d, float t0,
-                         float t_limit, float iso, float step, float skip_step) {
+MarchRef march_reference(const StructuredGrid& grid, const Field& field, Vec3f o,
+                         Vec3f d, float t0, float t_limit, float iso, float step) {
   MarchRef r;
   Real prev_t = t0 + Real(1e-6);
   Real prev_v = grid.sample(field, o + d * prev_t);
   for (Real t = prev_t + step; t <= t_limit;) {
     ++r.steps;
-    if (minmax != nullptr && !minmax->may_contain(o + d * t, iso)) {
-      t += skip_step;
-      prev_t = t;
-      prev_v = grid.sample(field, o + d * t);
-      t += step;
-      continue;
-    }
     const Real v = grid.sample(field, o + d * t);
     if ((prev_v - iso) * (v - iso) <= 0 && prev_v != v) {
       r.a = prev_t;
@@ -359,8 +351,7 @@ MarchRef march_reference(const StructuredGrid& grid, const Field& field,
   return r;
 }
 
-simd::GridView make_view(const StructuredGrid& grid, const Field& field,
-                         const MinMaxGrid* minmax) {
+simd::GridView make_view(const StructuredGrid& grid, const Field& field) {
   simd::GridView view{};
   const Vec3i d = grid.dims();
   const Vec3f org = grid.origin(), sp = grid.spacing();
@@ -374,31 +365,14 @@ simd::GridView make_view(const StructuredGrid& grid, const Field& field,
   view.sp_x = sp.x;
   view.sp_y = sp.y;
   view.sp_z = sp.z;
-  if (minmax != nullptr) {
-    const Vec3i md = minmax->dims();
-    view.mm_ranges = reinterpret_cast<const Real*>(minmax->ranges_data());
-    view.mm_dims_x = std::int32_t(md.x);
-    view.mm_dims_y = std::int32_t(md.y);
-    view.mm_dims_z = std::int32_t(md.z);
-    const Vec3f morg = minmax->origin(), minv = minmax->inv_cell();
-    view.mm_org_x = morg.x;
-    view.mm_org_y = morg.y;
-    view.mm_org_z = morg.z;
-    view.mm_inv_x = minv.x;
-    view.mm_inv_y = minv.y;
-    view.mm_inv_z = minv.z;
-  }
   return view;
 }
 
-void expect_march_matches(const StructuredGrid& grid, const Field& field,
-                          const MinMaxGrid* minmax) {
+void expect_march_matches(const StructuredGrid& grid, const Field& field) {
   const float iso = 0.3f;
   const Vec3f sp = grid.spacing();
   const float step = std::min({sp.x, sp.y, sp.z});
-  const float skip_step = std::max(
-      minmax != nullptr ? minmax->macro_extent() * Real(0.5) : Real(0), step);
-  const simd::GridView view = make_view(grid, field, minmax);
+  const simd::GridView view = make_view(grid, field);
   const Vec3f origin{-2.5f, 0.12f, 0.07f};
 
   for (const simd::KernelTable* table : vector_tables()) {
@@ -441,7 +415,7 @@ void expect_march_matches(const StructuredGrid& grid, const Field& field,
     hits.b = hb;
     hits.va = hva;
     hits.hit = hit;
-    table->march_iso(view, iso, step, skip_step, rays, hits);
+    table->march_iso(view, iso, step, rays, hits);
 
     std::int64_t ref_steps = 0;
     int ref_hits = 0;
@@ -450,9 +424,8 @@ void expect_march_matches(const StructuredGrid& grid, const Field& field,
         EXPECT_EQ(hit[l], 0) << table->name << " lane " << l;
         continue;
       }
-      const MarchRef ref =
-          march_reference(grid, field, minmax, origin, {dx[l], dy[l], dz[l]},
-                          t0[l], tl[l], iso, step, skip_step);
+      const MarchRef ref = march_reference(grid, field, origin, {dx[l], dy[l], dz[l]},
+                                           t0[l], tl[l], iso, step);
       ref_steps += ref.steps;
       ref_hits += ref.hit;
       ASSERT_EQ(hit[l], ref.hit) << table->name << " lane " << l;
@@ -471,15 +444,7 @@ void expect_march_matches(const StructuredGrid& grid, const Field& field,
 TEST(SimdGateKernels, MarchIsoMatchesScalarLoop) {
   const auto grid = wavy_grid(14);
   const Field& field = grid->point_fields().get("v");
-  expect_march_matches(*grid, field, nullptr);
-}
-
-TEST(SimdGateKernels, MarchIsoWithSpaceSkippingMatchesScalarLoop) {
-  const auto grid = wavy_grid(14);
-  const Field& field = grid->point_fields().get("v");
-  const MinMaxGrid minmax(*grid, field);
-  ASSERT_FALSE(minmax.empty());
-  expect_march_matches(*grid, field, &minmax);
+  expect_march_matches(*grid, field);
 }
 
 // ----------------------------------------------------------- depth merge
@@ -585,7 +550,7 @@ TEST(SimdGateKernels, StrideCopyMatchesScalarLoop) {
 // ------------------------------------------------- full-harness sweeps
 
 /// Keep the artifact cache out of the comparison: a cached BVH or
-/// minmax artifact produced under one ISA would be replayed under the
+/// filter output produced under one ISA would be replayed under the
 /// other and mask a divergence.
 class CacheOffGuard {
 public:
@@ -624,7 +589,6 @@ ExperimentSpec xrage_spec() {
   spec.application = Application::kXrage;
   spec.xrage.dims = {18, 14, 12};
   spec.viz.algorithm = insitu::VizAlgorithm::kRaycastVolume;
-  spec.viz.volume_acceleration = true; // minmax skip path in the march
   spec.viz.image_width = 24;
   spec.viz.image_height = 24;
   spec.viz.images_per_timestep = 1;

@@ -194,7 +194,9 @@ rm -f "${async_json}"
 # VizFrameSink); all of them run here too. So do the artifact cache's
 # suites: with the cache off, the in-memory HACC pass's slab vector is
 # freed as soon as each rank has taken its slab (ArtifactCache,
-# CacheEquivalence).
+# CacheEquivalence). The experiment config is the one config and layout
+# file parser and reads untrusted files; its seeded mutation test runs
+# here too (SpecConfig).
 asan_variant() {
   local dir="build-asan"
   echo "==== configure ${dir} (address sanitizer) ===="
@@ -204,7 +206,7 @@ asan_variant() {
   cmake --build "${dir}" -j "${jobs}"
   echo "==== test ${dir} (data + insitu + buffer suites) ===="
   run_gate "${dir}" \
-    'Buffer|CowArray|DataPlane|WireMessage|WireReader|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset|Error|XrageGenerator|HaccGenerator|Rng|VtkIo|Compositor|ImageBuffer|ArtifactCache|CacheEquivalence'
+    'Buffer|CowArray|DataPlane|WireMessage|WireReader|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset|Error|XrageGenerator|HaccGenerator|Rng|VtkIo|Compositor|ImageBuffer|ArtifactCache|CacheEquivalence|SpecConfig'
 }
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" asan_variant
 
