@@ -31,6 +31,16 @@ std::string env_trace_path() {
   return env != nullptr ? std::string(env) : std::string();
 }
 
+namespace {
+// Constant-initialized, so the pool's static initializer may set it
+// whatever order the translation units initialize in.
+std::atomic<const char*> g_allocator_label{"default"};
+} // namespace
+
+void set_allocator_label(const char* label) {
+  g_allocator_label.store(label, std::memory_order_relaxed);
+}
+
 std::int64_t now_ns() {
   using clock = std::chrono::steady_clock;
   static const clock::time_point epoch = clock::now();
@@ -210,10 +220,13 @@ void append_json_escaped(std::string& out, const char* s) {
 }
 
 std::string track_name(std::int32_t track) {
-  // The host track carries the resolved SIMD ISA so every trace (and
-  // the CSVs derived from it) is attributable to the lane width that
-  // produced it, like ETH_THREADS is visible via the worker tracks.
-  if (track == kHostTrack) return "host [simd=" + simd::isa_label() + "]";
+  // The host track carries the resolved SIMD ISA and the allocator
+  // policy so every trace (and the CSVs derived from it) is
+  // attributable to the lane width and malloc policy that produced it,
+  // like ETH_THREADS is visible via the worker tracks.
+  if (track == kHostTrack)
+    return "host [simd=" + simd::isa_label() +
+           " alloc=" + g_allocator_label.load(std::memory_order_relaxed) + "]";
   // Decode the sweep-point namespacing (kSweepTrackStride): point 0
   // keeps the bare "rank R" / "model node N" names so single runs and
   // pre-sweep traces read unchanged.

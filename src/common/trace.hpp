@@ -61,6 +61,13 @@ void set_enabled(bool on);
 /// Value of ETH_TRACE (the trace output path), or "" when unset.
 std::string env_trace_path();
 
+/// Name the process's allocator policy on the host track, beside the
+/// SIMD ISA ("host [simd=avx2 alloc=glibc-1arena]"). The thread pool
+/// calls it when it applies the policy during static initialization
+/// (parallel/thread_pool.cpp, allocator_policy_label); until then the
+/// label reads "default". `label` must outlive the process.
+void set_allocator_label(const char* label);
+
 // ------------------------------------------------------------- events
 
 enum class EventType : std::uint8_t {

@@ -1,5 +1,7 @@
 #include "core/harness.hpp"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -247,6 +249,13 @@ std::string couple_signature(const ExperimentSpec& spec, insitu::WireCodec codec
                    spec.transfer_retry.recv_deadline_seconds);
 }
 
+/// Minor page faults the whole process has taken so far.
+long process_minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
 } // namespace
 
 AABB Harness::global_bounds(const ExperimentSpec& spec) {
@@ -288,6 +297,7 @@ ImageBuffer Harness::render_reference(const ExperimentSpec& spec) {
 
 RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const {
   spec.validate();
+  const long minor_faults_at_entry = process_minor_faults();
   const int M = spec.layout.ranks;
   const int P_sim = spec.layout.sim_nodes();
   const int P_viz = spec.layout.viz_node_count();
@@ -891,8 +901,9 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
   result.busy_spans = timeline.spans();
 
   // Observability (DESIGN.md §11): sample this run's data-plane and
-  // cache counters (cache-replayed bytes included) as trace counters,
-  // and project the modelled BusySpans onto "model node" tracks
+  // cache counters (cache-replayed bytes included) and the minor page
+  // faults the process took during the run as trace counters, and
+  // project the modelled BusySpans onto "model node" tracks
   // (modelled seconds scaled to trace nanoseconds) so the simulated
   // timeline sits next to the measured wall spans in one Perfetto view.
   if (trace::enabled()) {
@@ -900,6 +911,8 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
     trace::counter("bytes_borrowed", double(result.counters.bytes_borrowed));
     trace::counter("bytes_on_wire", double(result.counters.bytes_on_wire));
     trace::counter("cache_bytes", double(cache_stats_after.bytes_resident));
+    trace::counter("minor_faults",
+                   double(process_minor_faults() - minor_faults_at_entry));
     for (const cluster::BusySpan& span : result.busy_spans)
       trace::emit_span_at(span.label,
                           trace::kModelTrackBase + ctx.trace_track_base +

@@ -34,12 +34,15 @@ std::string read_line(std::FILE* f, const std::string& path) {
 } // namespace
 
 void write_dataset(const DataSet& ds, const std::string& path) {
-  const std::vector<std::uint8_t> payload = serialize_dataset(ds);
+  // The payload is written segment by segment from `ds`'s own arrays:
+  // the same bytes serialize_dataset would flatten, without the copy.
+  const WireMessage payload = wire_message_for_dataset(ds);
   FilePtr f = open_file(path, "wb");
   std::fprintf(f.get(), "%s\nkind %s\nbytes %zu\n", kMagicLine, to_string(ds.kind()),
-               payload.size());
-  require(std::fwrite(payload.data(), 1, payload.size(), f.get()) == payload.size(),
-          "short write to '" + path + "'");
+               payload.total_bytes());
+  for (const WireMessage::Segment& seg : payload.segments())
+    require(std::fwrite(seg.bytes.data(), 1, seg.bytes.size(), f.get()) == seg.bytes.size(),
+            "short write to '" + path + "'");
 }
 
 std::unique_ptr<DataSet> read_dataset(const std::string& path) {

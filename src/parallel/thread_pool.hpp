@@ -106,6 +106,13 @@ private:
 /// positive integer, else std::thread::hardware_concurrency().
 unsigned default_thread_count();
 
+/// The malloc policy this process runs under, applied once during
+/// static initialization (DESIGN.md "Threading model", "Process
+/// memory"): "glibc-1arena" (one arena, heap-served blocks up to
+/// 32 MiB, no trimming), "sanitizer" (ASan/TSan own malloc; the
+/// policy is inert) or "default" (not glibc, or glibc refused it).
+const char* allocator_policy_label();
+
 /// CPU seconds executed on pool workers ON BEHALF OF the calling thread,
 /// accumulated monotonically since thread start. The parallel loops add
 /// every worker-executed chunk's thread-CPU seconds here at the join

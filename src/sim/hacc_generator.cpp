@@ -182,9 +182,9 @@ std::vector<std::unique_ptr<PointSet>> generate_slabs(const HaccParams& p,
 
   // Replay: blocks are independent given their checkpoints. Each block's
   // list is reserved here at the block length, an upper bound, so pool
-  // workers never allocate: their allocations would grow per-thread
-  // malloc arenas that outlive the pass. Capacity never written is never
-  // paged in.
+  // workers never allocate: workers must not contend on the one malloc
+  // arena's lock (parallel/thread_pool.cpp). Capacity never written is
+  // never paged in.
   std::vector<std::vector<KeptParticle>> kept(static_cast<std::size_t>(blocks));
   for (Index b = 0; b < blocks; ++b)
     kept[static_cast<std::size_t>(b)].reserve(

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "data/point_set.hpp"
+#include "data/serialize.hpp"
 #include "data/structured_grid.hpp"
 
 namespace eth {
@@ -26,6 +27,11 @@ protected:
 
   std::string path(const std::string& name) const { return (dir_ / name).string(); }
 
+  std::string contents(const std::string& name) const {
+    std::ifstream in(path(name), std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  }
+
   std::filesystem::path dir_;
 };
 
@@ -38,6 +44,12 @@ TEST_F(VtkIoTest, PointSetFileRoundTrip) {
   ps.point_fields().add(std::move(id));
 
   write_dataset(ps, path("points.eth"));
+  // The payload is written from the message's segments; the file must
+  // hold exactly the header plus the flattened serialization.
+  const std::vector<std::uint8_t> flat = serialize_dataset(ps);
+  EXPECT_EQ(contents("points.eth"),
+            "# eth DataFile v1\nkind PointSet\nbytes " + std::to_string(flat.size()) +
+                "\n" + std::string(flat.begin(), flat.end()));
   const auto restored = read_dataset(path("points.eth"));
   ASSERT_EQ(restored->kind(), DataSetKind::kPointSet);
   const auto& r = static_cast<const PointSet&>(*restored);
@@ -84,9 +96,7 @@ TEST_F(VtkIoTest, OversizedBytesHeaderRejected) {
   // 2^40 and 2^62 would otherwise throw std::bad_alloc, not eth::Error.
   const PointSet ps(4);
   write_dataset(ps, path("valid.eth"));
-  std::ifstream in(path("valid.eth"), std::ios::binary);
-  const std::string content((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
+  const std::string content = contents("valid.eth");
   const auto line = content.find("bytes ");
   const auto line_end = content.find('\n', line);
   ASSERT_NE(line, std::string::npos);
@@ -104,10 +114,7 @@ TEST_F(VtkIoTest, HeaderPayloadKindMismatchRejected) {
   const PointSet ps(2);
   write_dataset(ps, path("tamper.eth"));
   // Tamper: rewrite the header kind while keeping the payload.
-  std::ifstream in(path("tamper.eth"), std::ios::binary);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  in.close();
+  std::string content = contents("tamper.eth");
   const auto pos = content.find("kind PointSet");
   ASSERT_NE(pos, std::string::npos);
   content.replace(pos, 13, "kind TriangleMesh");

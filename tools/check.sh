@@ -78,9 +78,9 @@ run_gate build-release 'SimdGate'
 # with ETH_TRACE on and validate the exported Chrome trace — JSON
 # schema plus presence of a span from every pipeline phase (sim load,
 # serialize, transport, filter, render, the sparse composite exchange's
-# pack/gather/merge, cache, retries and the modelled-timeline
-# projection). A missing name here means a layer lost its
-# instrumentation. The socket-coupled transport path is covered by the
+# pack/gather/merge, cache, retries, each run's minor page faults and
+# the modelled-timeline projection). A missing name here means a layer
+# lost its instrumentation. The socket-coupled transport path is covered by the
 # e2e trace test, run here by name so a filter typo cannot silently
 # skip it.
 echo "==== trace gate (build-release) ===="
@@ -91,7 +91,7 @@ ETH_TRACE="${trace_json}" ./build-release/tools/eth_explore tools/trace_gate.cfg
   sim.load serialize deserialize transport.send transport.recv \
   transport.compress transport.decompress bytes_on_wire transfer \
   transfer.retry filter.sample render.build render.raycast composite \
-  composite.pack composite.gather chunk cache.miss cache_bytes \
+  composite.pack composite.gather chunk cache.miss cache_bytes minor_faults \
   model.generate model.viz model.composite model.write
 rm -f "${trace_json}"
 
@@ -196,7 +196,8 @@ rm -f "${async_json}"
 # freed as soon as each rank has taken its slab (ArtifactCache,
 # CacheEquivalence). The experiment config is the one config and layout
 # file parser and reads untrusted files; its seeded mutation test runs
-# here too (SpecConfig).
+# here too (SpecConfig). ASan owns malloc, so the allocator-policy test
+# must report as skipped here, not passed (AllocatorPolicy).
 asan_variant() {
   local dir="build-asan"
   echo "==== configure ${dir} (address sanitizer) ===="
@@ -206,7 +207,7 @@ asan_variant() {
   cmake --build "${dir}" -j "${jobs}"
   echo "==== test ${dir} (data + insitu + buffer suites) ===="
   run_gate "${dir}" \
-    'Buffer|CowArray|DataPlane|WireMessage|WireReader|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset|Error|XrageGenerator|HaccGenerator|Rng|VtkIo|Compositor|ImageBuffer|ArtifactCache|CacheEquivalence|SpecConfig'
+    'Buffer|CowArray|DataPlane|WireMessage|WireReader|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset|Error|XrageGenerator|HaccGenerator|Rng|VtkIo|Compositor|ImageBuffer|ArtifactCache|CacheEquivalence|SpecConfig|AllocatorPolicy'
 }
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" asan_variant
 

@@ -32,6 +32,7 @@
 #include "common/trace.hpp"
 #include "core/spec_config.hpp"
 #include "insitu/transport.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace {
 
@@ -79,10 +80,10 @@ int main(int argc, char** argv) {
   try {
     const auto points = load_experiment_config(config_path);
     if (dry_run) {
-      std::printf("%s: %zu experiment%s (dry run, simd=%s, codec=%s)\n",
+      std::printf("%s: %zu experiment%s (dry run, simd=%s, alloc=%s, codec=%s)\n",
                   config_path.c_str(), points.size(),
                   points.size() == 1 ? "" : "s", simd::isa_label().c_str(),
-                  insitu::wire_codec_label());
+                  allocator_policy_label(), insitu::wire_codec_label());
       for (const auto& point : points)
         std::printf("\n[%s]\n%s", point.label.c_str(),
                     spec_summary(point.spec).c_str());
